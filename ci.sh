@@ -60,6 +60,14 @@ cargo test -q --offline -p dnnperf --test fleet -- --test-threads 4
 echo "==> experiment binaries still build"
 cargo build --offline -p dnnperf-bench --bins
 
+echo "==> repository benchmark self-tests"
+# The benchmark in benchmark/ is a package of its own (outside the
+# workspace) that binds to the library crates' public API — the serve
+# crate's cache, server and frame functions among them. The workspace
+# steps above never build it, so an API change that breaks it would
+# otherwise surface only when the benchmark runs.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # Re-measures the serving/training hot paths with reduced iteration counts
 # and gates on machine-relative figures: warm-predict ns/kernel may not

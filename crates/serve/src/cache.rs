@@ -245,7 +245,27 @@ impl SharedPlanCache {
         net: &Network,
         batch: usize,
     ) -> Result<Arc<CompiledPlan>, PredictError> {
-        let key = PlanKey::of(suite, net, batch);
+        self.get_or_compile_keyed(PlanKey::of(suite, net, batch), suite, net)
+    }
+
+    /// The resident plan for `key`, counted as a hit; `None` on a miss,
+    /// which is not counted (the caller that goes on to compile through
+    /// [`SharedPlanCache::get_or_compile_keyed`] counts it there).
+    pub(crate) fn lookup(&self, key: PlanKey) -> Option<Arc<CompiledPlan>> {
+        let plan = lock_unpoisoned(&self.shard_of(&key).state).touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
+    }
+
+    /// [`SharedPlanCache::get_or_compile`] for a key the caller already
+    /// holds, so the network is not re-fingerprinted. `key` must be
+    /// `PlanKey::of(suite, net, key.batch)`.
+    pub(crate) fn get_or_compile_keyed(
+        &self,
+        key: PlanKey,
+        suite: &Workflow,
+        net: &Network,
+    ) -> Result<Arc<CompiledPlan>, PredictError> {
         let shard = self.shard_of(&key);
         {
             let mut st = lock_unpoisoned(&shard.state);
@@ -267,7 +287,7 @@ impl SharedPlanCache {
         // Compile outside the lock: other keys on this shard stay
         // servable while we work.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = CompiledPlan::compile(suite, net, batch);
+        let compiled = CompiledPlan::compile(suite, net, key.batch);
         let mut st = lock_unpoisoned(&shard.state);
         st.inflight.remove(&key);
         let result = match compiled {

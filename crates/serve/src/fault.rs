@@ -31,6 +31,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+/// Bytes of a frame's big-endian length prefix.
+const PREFIX_BYTES: usize = 4;
+
 // -- tiny deterministic hash (SplitMix64) -----------------------------------
 //
 // Local copy of the SplitMix64 finalizer (as in `dnnperf_sched::retry`):
@@ -233,9 +236,12 @@ impl TransportFaultStats {
 ///
 /// Frame boundaries are tracked on the write side: `write_frame` ends
 /// every frame with a `flush`, so the first `write` after a flush opens
-/// frame `n+1` and draws that frame's fault. Within a frame, the first
-/// write carries the 4-byte length prefix and the second carries the
-/// payload, which is where corruption and mid-frame disconnects attach.
+/// frame `n+1` and draws that frame's fault. Within a frame, faults
+/// attach to byte offsets, not to write calls: bytes `0..4` are the
+/// length prefix and the payload follows. Corruption flips payload byte
+/// `4 + corrupt_position(..)`, and a disconnect lets exactly the 4
+/// prefix bytes out and then dies. However the caller splits a frame
+/// into writes, the same bytes reach the wire.
 #[derive(Debug)]
 pub struct FaultyTransport<S> {
     inner: S,
@@ -243,7 +249,10 @@ pub struct FaultyTransport<S> {
     stream_id: u64,
     frame: u32,
     frame_open: bool,
-    writes_in_frame: u32,
+    /// Bytes of the open frame already passed to `inner`.
+    offset: usize,
+    /// The open frame's length prefix, as far as it has been written.
+    prefix: [u8; PREFIX_BYTES],
     active: Option<TransportFault>,
     dead: bool,
     stats: TransportFaultStats,
@@ -260,7 +269,8 @@ impl<S: Read + Write> FaultyTransport<S> {
             stream_id,
             frame: 0,
             frame_open: false,
-            writes_in_frame: 0,
+            offset: 0,
+            prefix: [0; PREFIX_BYTES],
             active: None,
             dead: false,
             stats: TransportFaultStats::default(),
@@ -287,7 +297,7 @@ impl<S: Read + Write> FaultyTransport<S> {
             return;
         }
         self.frame_open = true;
-        self.writes_in_frame = 0;
+        self.offset = 0;
         self.active = self.plan.decide(self.stream_id, self.frame);
         match self.active {
             Some(TransportFault::Torn) => self.stats.torn += 1,
@@ -301,15 +311,44 @@ impl<S: Read + Write> FaultyTransport<S> {
         }
         self.frame += 1;
     }
+
+    /// For a corrupted frame, the index within `buf` — about to be
+    /// written at frame offset `self.offset` — of the payload byte to
+    /// flip, if that byte falls inside `buf`.
+    fn corrupt_index(&mut self, buf: &[u8]) -> Option<usize> {
+        let start = self.offset;
+        for (i, b) in buf
+            .iter()
+            .enumerate()
+            .take(PREFIX_BYTES.saturating_sub(start))
+        {
+            if let Some(slot) = self.prefix.get_mut(start + i) {
+                *slot = *b;
+            }
+        }
+        if start + buf.len() <= PREFIX_BYTES {
+            return None; // the payload length is not known yet
+        }
+        let len = u32::from_be_bytes(self.prefix) as usize;
+        if len == 0 {
+            return None;
+        }
+        let at = PREFIX_BYTES
+            + self
+                .plan
+                .corrupt_position(self.stream_id, self.frame.wrapping_sub(1), len);
+        at.checked_sub(start).filter(|&i| i < buf.len())
+    }
+}
+
+fn injected_disconnect() -> std::io::Error {
+    std::io::Error::new(ErrorKind::BrokenPipe, "injected disconnect")
 }
 
 impl<S: Read + Write> Read for FaultyTransport<S> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.dead {
-            return Err(std::io::Error::new(
-                ErrorKind::BrokenPipe,
-                "injected disconnect",
-            ));
+            return Err(injected_disconnect());
         }
         // Tearing applies to reads of the *current* fault window too: one
         // byte per call exercises partial-read handling in read_frame.
@@ -328,53 +367,43 @@ impl<S: Read + Write> Read for FaultyTransport<S> {
 impl<S: Read + Write> Write for FaultyTransport<S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         if self.dead {
-            return Err(std::io::Error::new(
-                ErrorKind::BrokenPipe,
-                "injected disconnect",
-            ));
+            return Err(injected_disconnect());
         }
         self.open_frame();
-        self.writes_in_frame += 1;
-        match self.active {
-            // Mid-frame disconnect: the length prefix (write 1) goes out,
-            // the payload never follows — the receiver holds a torn frame.
-            Some(TransportFault::Disconnect) if self.writes_in_frame >= 2 => {
-                self.dead = true;
-                Err(std::io::Error::new(
-                    ErrorKind::BrokenPipe,
-                    "injected disconnect",
-                ))
-            }
-            Some(TransportFault::Torn) => {
-                let n = self.inner.write(buf.get(..1).unwrap_or(buf))?;
-                Ok(n)
-            }
-            Some(TransportFault::Corrupt) if self.writes_in_frame == 2 => {
-                // Flip one payload byte; the prefix stays intact so the
-                // receiver gets a complete, garbled frame to reject.
-                let mut damaged = buf.to_vec();
-                let pos = self.plan.corrupt_position(
-                    self.stream_id,
-                    self.frame.wrapping_sub(1),
-                    damaged.len(),
-                );
-                if let Some(b) = damaged.get_mut(pos) {
-                    *b ^= 0x04;
+        let n = match self.active {
+            // Mid-frame disconnect: the length prefix goes out, the
+            // payload never follows — the receiver holds a torn frame.
+            Some(TransportFault::Disconnect) => {
+                let room = PREFIX_BYTES.saturating_sub(self.offset);
+                if room == 0 {
+                    self.dead = true;
+                    return Err(injected_disconnect());
                 }
-                let n = self.inner.write(&damaged)?;
-                Ok(n)
+                self.inner.write(buf.get(..room).unwrap_or(buf))?
             }
-            _ => self.inner.write(buf),
-        }
+            Some(TransportFault::Torn) => self.inner.write(buf.get(..1).unwrap_or(buf))?,
+            // Flip one payload byte; the prefix stays intact so the
+            // receiver gets a complete, garbled frame to reject.
+            Some(TransportFault::Corrupt) => match self.corrupt_index(buf) {
+                Some(i) => {
+                    let mut damaged = buf.to_vec();
+                    if let Some(b) = damaged.get_mut(i) {
+                        *b ^= 0x04;
+                    }
+                    self.inner.write(&damaged)?
+                }
+                None => self.inner.write(buf)?,
+            },
+            _ => self.inner.write(buf)?,
+        };
+        self.offset += n;
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.frame_open = false;
         if self.dead {
-            return Err(std::io::Error::new(
-                ErrorKind::BrokenPipe,
-                "injected disconnect",
-            ));
+            return Err(injected_disconnect());
         }
         self.inner.flush()
     }
@@ -535,18 +564,21 @@ mod tests {
             disconnect: false,
         };
         let payload = "predict\ttenant\tnet\t8";
-        let mut t = FaultyTransport::new(looped(Vec::new()), plan, 2);
+        let mut t = FaultyTransport::new(looped(Vec::new()), plan.clone(), 2);
         crate::protocol::write_frame(&mut t, payload).unwrap();
         assert_eq!(t.stats().corrupted, 1);
         let written = t.inner.output.clone();
-        // Prefix intact, exactly one payload byte differs.
+        // Prefix intact, exactly one payload byte differs: the one at the
+        // plan's position for this (stream, frame) cell.
         assert_eq!(&written[..4], &(payload.len() as u32).to_be_bytes()[..]);
-        let diffs = written[4..]
+        let diffs: Vec<usize> = written[4..]
             .iter()
             .zip(payload.as_bytes())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(diffs, 1);
+            .enumerate()
+            .filter(|(_, (a, b))| a != b)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(diffs, vec![plan.corrupt_position(2, 0, payload.len())]);
     }
 
     #[test]
@@ -569,6 +601,85 @@ mod tests {
         let mut buf = [0u8; 1];
         assert!(t.read(&mut buf).is_err());
         assert!(t.write(b"x").is_err());
+    }
+
+    fn only(kind: TransportFault) -> TransportFaultKinds {
+        TransportFaultKinds {
+            torn: kind == TransportFault::Torn,
+            corrupt: kind == TransportFault::Corrupt,
+            stall: kind == TransportFault::Stall,
+            disconnect: kind == TransportFault::Disconnect,
+        }
+    }
+
+    /// Writes `payloads` as frames through a fresh transport, stopping at
+    /// the first failed frame. `chunks: None` uses `write_frame` (one
+    /// write per frame); `Some(k)` writes the prefix, then the payload in
+    /// `k` pieces. Returns the bytes on the wire, the fault counters and
+    /// how many frames were written.
+    fn wire_image(
+        plan: &TransportFaultPlan,
+        stream_id: u64,
+        payloads: &[&str],
+        chunks: Option<usize>,
+    ) -> (Vec<u8>, TransportFaultStats, usize) {
+        let mut t = FaultyTransport::new(looped(Vec::new()), plan.clone(), stream_id);
+        let mut written = 0;
+        for payload in payloads {
+            let ok = match chunks {
+                None => crate::protocol::write_frame(&mut t, payload).is_ok(),
+                Some(k) => {
+                    let bytes = payload.as_bytes();
+                    let step = bytes.len().div_ceil(k).max(1);
+                    t.write_all(&(bytes.len() as u32).to_be_bytes())
+                        .and_then(|()| bytes.chunks(step).try_for_each(|c| t.write_all(c)))
+                        .and_then(|()| t.flush())
+                        .is_ok()
+                }
+            };
+            if !ok {
+                break;
+            }
+            written += 1;
+        }
+        (t.inner.output, t.stats, written)
+    }
+
+    #[test]
+    fn wire_bytes_do_not_depend_on_how_a_frame_is_split_into_writes() {
+        let payloads = [
+            "predict\tteam\tResNet-50\t8",
+            "graceful\tteam\tsqueezenet-64-32\t32\t250",
+            "stats",
+            "predict\tteam\tVGG-16\t128",
+        ];
+        let mut plans = Vec::new();
+        for kind in [
+            TransportFault::Torn,
+            TransportFault::Corrupt,
+            TransportFault::Stall,
+            TransportFault::Disconnect,
+        ] {
+            let mut plan = TransportFaultPlan::chaos(17, 1.0);
+            plan.kinds = only(kind);
+            plans.push(plan);
+        }
+        plans.push(TransportFaultPlan::chaos(23, 0.5));
+        for plan in &mut plans {
+            plan.stall_delay = Duration::ZERO;
+            for stream_id in 0..8 {
+                let reference = wire_image(plan, stream_id, &payloads, None);
+                assert!(reference.1.total() > 0 || plan.rate < 1.0);
+                for k in [1, 2, 7] {
+                    assert_eq!(
+                        wire_image(plan, stream_id, &payloads, Some(k)),
+                        reference,
+                        "plan {:?}, stream {stream_id}, payload in {k} writes",
+                        plan.kinds
+                    );
+                }
+            }
+        }
     }
 
     #[test]

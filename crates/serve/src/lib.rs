@@ -10,8 +10,9 @@
 //!   memory budget, keyed by `(suite generation, network fingerprint,
 //!   batch)` so retrains can never serve stale plans;
 //! * [`server`] — [`server::PredictionServer`], the in-process API:
-//!   tenant registry, bounded admission queue with load shedding, and a
-//!   batching worker pool;
+//!   tenant registry, resident-plan hits answered on the caller's
+//!   thread, and for misses a bounded admission queue with load
+//!   shedding and a batching worker pool;
 //! * [`protocol`] — the length-prefixed TCP line protocol with
 //!   bit-exact f64 transport;
 //! * [`tcp`] — [`tcp::TcpServer`], the per-connection-thread front door

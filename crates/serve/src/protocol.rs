@@ -146,7 +146,9 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single buffer: on a socket
+/// with `TCP_NODELAY` that is one syscall and one segment, not a
+/// prefix segment followed by a payload segment.
 ///
 /// # Errors
 ///
@@ -157,9 +159,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), WireError> 
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge(bytes.len()));
     }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -12,11 +12,32 @@
 //!   batches by a fixed worker pool — a full queue sheds the request
 //!   with [`ServeError::Overloaded`] instead of queueing unboundedly.
 //!
-//! Requests resolve their suite at **submit time**: the job carries the
-//! `Arc<Workflow>` it was admitted against, so a racing retrain can
+//! # Request path
+//!
+//! A request resolves its tenant and network, passes the deadline
+//! early-shed, and draws an admission sequence number. Then:
+//!
+//! * **Resident hit → inline.** If the plan is already in the cache, the
+//!   submitting thread (the TCP connection thread, or an in-process
+//!   caller) runs the sweep itself and gets back a [`Pending`] that is
+//!   already answered: no queue slot, no condvar, no worker wake-up.
+//! * **Miss → pool.** Otherwise the request is queued for the worker
+//!   pool, which compiles (deduplicated per key), prices, and answers
+//!   it under the failure model below.
+//!
+//! There is deliberately no "only when the queue is empty" condition on
+//! the inline path: a hit costs less than a single hand-off to a
+//! worker, so parking it behind queued misses could only add latency.
+//! The queue therefore holds only misses, and the service-time EWMA
+//! that drives deadline shedding is fed by the pool alone.
+//!
+//! Requests resolve their suite at **submit time**: a request is priced
+//! against the `Arc<Workflow>` it resolved, so a racing retrain can
 //! never make an in-flight request mix models from two training runs —
 //! each request is deterministically served by exactly one suite
-//! snapshot.
+//! snapshot. Each network's structural fingerprint is hashed once, when
+//! it joins the catalog, so building a request's cache key costs no
+//! walk over its layers.
 //!
 //! # Failure model
 //!
@@ -32,20 +53,25 @@
 //!   expired entries out (answering their waiters) before shedding
 //!   fresh work with [`ServeError::Overloaded`].
 //! * **Worker supervision.** Each worker runs its drain loop under
-//!   `catch_unwind`. If serving a request panics, the supervisor answers
-//!   that request's waiter with [`ServeError::Internal`], requeues the
-//!   untouched remainder of the drained batch, and respawns the worker —
-//!   a panic never hangs a client and never shrinks the pool. Panics
-//!   during shutdown skip the respawn and answer rescued jobs with
-//!   [`ServeError::ShuttingDown`].
+//!   `catch_unwind`. A request the chaos [`PanicPlan`] targets always
+//!   takes the pool path, even when its plan is resident, so injected
+//!   crashes exercise supervision. If serving a request panics, the
+//!   supervisor answers that request's waiter with
+//!   [`ServeError::Internal`], requeues the untouched remainder of the
+//!   drained batch, and respawns the worker — a panic never hangs a
+//!   client and never shrinks the pool. Panics during shutdown skip the
+//!   respawn and answer rescued jobs with [`ServeError::ShuttingDown`].
 //! * **Shutdown.** [`PredictionServer::shutdown`] closes the queue,
 //!   joins every worker (including respawns), and answers whatever no
-//!   worker picked up with [`ServeError::ShuttingDown`].
+//!   worker picked up with [`ServeError::ShuttingDown`]. Once the queue
+//!   is closed, resident hits are refused with
+//!   [`ServeError::ShuttingDown`] too.
 
-use crate::cache::{CacheConfig, CacheStats, SharedPlanCache};
+use crate::cache::{CacheConfig, CacheStats, PlanKey, SharedPlanCache};
 use crate::fault::{InjectedWorkerPanic, PanicPlan};
 use crate::protocol::Response;
-use dnnperf_core::{GracefulPrediction, PredictError, Workflow};
+use dnnperf_core::plan::network_fingerprint;
+use dnnperf_core::{CompiledPlan, GracefulPrediction, PredictError, Workflow};
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, read_unpoisoned, wait_unpoisoned, write_unpoisoned};
 use dnnperf_sched::{Bounded, Clock, SendRejected, SystemClock};
@@ -125,6 +151,15 @@ enum Mode {
     Graceful,
 }
 
+impl Mode {
+    fn price(self, plan: &CompiledPlan) -> Reply {
+        match self {
+            Mode::Strict => Reply::Strict(plan.predict()),
+            Mode::Graceful => Reply::Graceful(plan.predict_graceful()),
+        }
+    }
+}
+
 type SlotResult = Result<Reply, ServeError>;
 
 struct Slot {
@@ -146,11 +181,20 @@ impl Slot {
     }
 }
 
-/// A handle to an admitted request; [`Pending::wait`] blocks for the
-/// worker pool to answer it.
+/// A handle to an admitted request. [`Pending::wait`] returns at once
+/// for a request answered inline (a resident plan) and otherwise blocks
+/// for the worker pool to answer it.
 #[derive(Debug)]
 pub struct Pending {
-    slot: Arc<Slot>,
+    answer: Answer,
+}
+
+#[derive(Debug)]
+enum Answer {
+    /// Answered on the submitting thread.
+    Ready(SlotResult),
+    /// Queued for the worker pool, which fills the slot.
+    Queued(Arc<Slot>),
 }
 
 impl std::fmt::Debug for Slot {
@@ -162,12 +206,16 @@ impl std::fmt::Debug for Slot {
 impl Pending {
     /// Blocks until the request is answered and returns the outcome.
     pub fn wait(self) -> SlotResult {
-        let mut guard = lock_unpoisoned(&self.slot.result);
+        let slot = match self.answer {
+            Answer::Ready(result) => return result,
+            Answer::Queued(slot) => slot,
+        };
+        let mut guard = lock_unpoisoned(&slot.result);
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            guard = wait_unpoisoned(&self.slot.done, guard);
+            guard = wait_unpoisoned(&slot.done, guard);
         }
     }
 }
@@ -179,12 +227,15 @@ impl Pending {
 struct Job {
     suite: Arc<Workflow>,
     net: Arc<Network>,
-    batch: usize,
+    /// The plan-cache key, built at submit time from the pinned suite's
+    /// generation and the catalog's fingerprint of `net`.
+    key: PlanKey,
     mode: Mode,
     slot: Arc<Slot>,
-    /// Admission sequence number (the value of the `admitted` counter
-    /// when this job entered the queue). Drives deterministic panic
-    /// injection in chaos runs.
+    /// Admission sequence number, drawn by every request that passes the
+    /// deadline shed — inline hits included — so with nothing shed it is
+    /// the value of the `admitted` counter at submission. Drives
+    /// deterministic panic injection in chaos runs.
     seq: u64,
     /// Absolute expiry instant on the server clock, if the request
     /// carried a deadline.
@@ -201,7 +252,8 @@ impl Job {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads draining the admission queue. Zero is permitted
-    /// (useful in tests: admitted requests stay queued).
+    /// (useful in tests): requests whose plan is resident are still
+    /// answered inline, and only misses stay queued.
     pub workers: usize,
     /// Admission queue depth; a full queue sheds with
     /// [`ServeError::Overloaded`].
@@ -232,10 +284,15 @@ impl Default for ServerConfig {
 /// Point-in-time server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests admitted to the queue.
+    /// Requests admitted: answered inline or accepted by the queue.
     pub admitted: u64,
-    /// Requests answered by the worker pool.
+    /// Requests answered with a prediction or a prediction error, inline
+    /// or by the worker pool.
     pub completed: u64,
+    /// Of `completed`, the requests answered inline on the submitting
+    /// thread because their plan was resident; the rest went through the
+    /// worker pool.
+    pub inline: u64,
     /// Requests shed by admission control (queue full).
     pub shed: u64,
     /// Requests shed at submission because their deadline was zero or
@@ -255,9 +312,16 @@ pub struct ServerStats {
     pub cache: CacheStats,
 }
 
+/// A catalog network with its structural fingerprint, hashed once when
+/// the network is added instead of on every request.
+struct Cataloged {
+    net: Arc<Network>,
+    fingerprint: u64,
+}
+
 struct Inner {
     tenants: RwLock<BTreeMap<String, Arc<Workflow>>>,
-    catalog: RwLock<BTreeMap<String, Arc<Network>>>,
+    catalog: RwLock<BTreeMap<String, Cataloged>>,
     cache: SharedPlanCache,
     queue: Bounded<Job>,
     clock: Arc<dyn Clock + Send + Sync>,
@@ -270,18 +334,36 @@ struct Inner {
     seq_counter: AtomicU64,
     admitted: AtomicU64,
     completed: AtomicU64,
+    inline: AtomicU64,
     shed: AtomicU64,
     shed_deadline: AtomicU64,
     expired: AtomicU64,
     panicked: AtomicU64,
     respawns: AtomicU64,
     requeued: AtomicU64,
-    /// EWMA of per-request service time in nanoseconds (0 = no sample
-    /// yet; real samples are clamped to at least 1).
+    /// EWMA of the worker pool's per-request service time in nanoseconds
+    /// (0 = no sample yet; real samples are clamped to at least 1).
+    /// Inline hits never feed it: it estimates the wait of a queued job.
     ewma_service_ns: AtomicU64,
 }
 
 impl Inner {
+    /// Answers a request on the submitting thread when its plan is
+    /// resident. Returns `None` — the request must take the pool path —
+    /// when the queue is closed, when the panic plan targets `seq`, or
+    /// on a cache miss.
+    fn serve_inline(&self, key: PlanKey, mode: Mode, seq: u64) -> Option<Reply> {
+        if self.queue.is_closed() || self.panic_plan.as_ref().is_some_and(|p| p.fires(seq)) {
+            return None;
+        }
+        let plan = self.cache.lookup(key)?;
+        let reply = mode.price(&plan);
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.inline.fetch_add(1, Ordering::Relaxed);
+        Some(reply)
+    }
+
     fn serve_one(&self, job: Job) {
         // Deadline check before pricing: a request that expired while
         // queued gets its typed answer instead of a stale prediction.
@@ -302,11 +384,8 @@ impl Inner {
         let started = self.clock.now();
         let result = self
             .cache
-            .get_or_compile(&job.suite, &job.net, job.batch)
-            .map(|plan| match job.mode {
-                Mode::Strict => Reply::Strict(plan.predict()),
-                Mode::Graceful => Reply::Graceful(plan.predict_graceful()),
-            })
+            .get_or_compile_keyed(job.key, &job.suite, &job.net)
+            .map(|plan| job.mode.price(&plan))
             .map_err(ServeError::from);
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.observe_service(self.clock.now().saturating_sub(started));
@@ -463,6 +542,7 @@ impl PredictionServer {
             seq_counter: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
             expired: AtomicU64::new(0),
@@ -502,10 +582,16 @@ impl PredictionServer {
 
     /// Adds networks to the catalog clients can request by name.
     pub fn add_networks<I: IntoIterator<Item = Network>>(&self, nets: I) {
-        let mut catalog = write_unpoisoned(&self.inner.catalog);
-        for net in nets {
-            catalog.insert(net.name().to_string(), Arc::new(net));
-        }
+        // Hash outside the lock: fingerprinting walks every layer.
+        let entries: Vec<(String, Cataloged)> = nets
+            .into_iter()
+            .map(|net| {
+                let fingerprint = network_fingerprint(&net);
+                let net = Arc::new(net);
+                (net.name().to_string(), Cataloged { net, fingerprint })
+            })
+            .collect();
+        write_unpoisoned(&self.inner.catalog).extend(entries);
     }
 
     /// Number of networks in the catalog.
@@ -519,20 +605,28 @@ impl PredictionServer {
         Arc::clone(&self.inner.clock)
     }
 
+    /// The tenant's current suite, the catalog network, and the plan-cache
+    /// key of the request.
     fn resolve(
         &self,
         tenant: &str,
         network: &str,
-    ) -> Result<(Arc<Workflow>, Arc<Network>), ServeError> {
+        batch: usize,
+    ) -> Result<(Arc<Workflow>, Arc<Network>, PlanKey), ServeError> {
         let suite = read_unpoisoned(&self.inner.tenants)
             .get(tenant)
             .cloned()
             .ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
-        let net = read_unpoisoned(&self.inner.catalog)
+        let (net, fingerprint) = read_unpoisoned(&self.inner.catalog)
             .get(network)
-            .cloned()
+            .map(|c| (Arc::clone(&c.net), c.fingerprint))
             .ok_or_else(|| ServeError::UnknownNetwork(network.to_string()))?;
-        Ok((suite, net))
+        let key = PlanKey {
+            generation: suite.generation(),
+            fingerprint,
+            batch,
+        };
+        Ok((suite, net, key))
     }
 
     fn submit_mode(
@@ -543,7 +637,7 @@ impl PredictionServer {
         mode: Mode,
         deadline_ms: Option<u64>,
     ) -> Result<Pending, ServeError> {
-        let (suite, net) = self.resolve(tenant, network)?;
+        let (suite, net, key) = self.resolve(tenant, network, batch)?;
         let budget = deadline_ms.map(Duration::from_millis);
         if let Some(budget) = budget {
             // Early shed: don't admit work we already expect to expire.
@@ -552,6 +646,12 @@ impl PredictionServer {
                 return Err(ServeError::DeadlineExceeded);
             }
         }
+        let seq = self.inner.seq_counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(reply) = self.inner.serve_inline(key, mode, seq) {
+            return Ok(Pending {
+                answer: Answer::Ready(Ok(reply)),
+            });
+        }
         let slot = Arc::new(Slot {
             result: Mutex::new(None),
             done: Condvar::new(),
@@ -559,16 +659,19 @@ impl PredictionServer {
         let job = Job {
             suite,
             net,
-            batch,
+            key,
             mode,
             slot: Arc::clone(&slot),
-            seq: self.inner.seq_counter.fetch_add(1, Ordering::Relaxed),
+            seq,
             expires_at: budget.map(|b| self.inner.clock.now() + b),
+        };
+        let pending = Pending {
+            answer: Answer::Queued(slot),
         };
         let job = match self.inner.queue.try_send(job) {
             Ok(()) => {
                 self.inner.admitted.fetch_add(1, Ordering::Relaxed);
-                return Ok(Pending { slot });
+                return Ok(pending);
             }
             Err((job, SendRejected::Full)) => job,
             Err((_, SendRejected::Closed)) => return Err(ServeError::ShuttingDown),
@@ -579,7 +682,7 @@ impl PredictionServer {
             match self.inner.queue.try_send(job) {
                 Ok(()) => {
                     self.inner.admitted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Pending { slot });
+                    return Ok(pending);
                 }
                 Err((_, SendRejected::Closed)) => return Err(ServeError::ShuttingDown),
                 Err((_, SendRejected::Full)) => {}
@@ -731,6 +834,7 @@ impl PredictionServer {
         ServerStats {
             admitted: self.inner.admitted.load(Ordering::Relaxed),
             completed: self.inner.completed.load(Ordering::Relaxed),
+            inline: self.inner.inline.load(Ordering::Relaxed),
             shed: self.inner.shed.load(Ordering::Relaxed),
             shed_deadline: self.inner.shed_deadline.load(Ordering::Relaxed),
             expired: self.inner.expired.load(Ordering::Relaxed),
@@ -747,6 +851,7 @@ impl PredictionServer {
         Response::Stats(vec![
             ("admitted".to_string(), s.admitted),
             ("completed".to_string(), s.completed),
+            ("inline".to_string(), s.inline),
             ("shed".to_string(), s.shed),
             ("shed_deadline".to_string(), s.shed_deadline),
             ("expired".to_string(), s.expired),
@@ -814,8 +919,9 @@ impl std::fmt::Debug for PredictionServer {
         let s = self.stats();
         write!(
             f,
-            "PredictionServer(admitted {}, completed {}, shed {}, expired {}, panicked {}, {:?})",
-            s.admitted, s.completed, s.shed, s.expired, s.panicked, self.inner.cache
+            "PredictionServer(admitted {}, completed {} ({} inline), shed {}, expired {}, \
+             panicked {}, {:?})",
+            s.admitted, s.completed, s.inline, s.shed, s.expired, s.panicked, self.inner.cache
         )
     }
 }

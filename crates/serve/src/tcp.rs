@@ -5,10 +5,15 @@
 //! port, read it back with [`TcpServer::addr`]) and spawns one accept
 //! thread; each accepted connection gets its own handler thread that
 //! loops `read_frame -> handle -> write_frame` until the client closes.
-//! Shutdown is cooperative: a shared flag is set, the accept loop is
-//! unblocked with a throwaway self-connection, and handler threads
-//! notice the flag via a short socket read timeout — no thread is ever
-//! killed mid-write, so every accepted request gets a response.
+//! The handler thread answers a request whose plan is resident itself
+//! (see the request path in [`crate::server`]); only misses wait for a
+//! worker. The accept loop joins handlers of closed connections as it
+//! accepts new ones, so a long-running server holds a thread (and its
+//! stack) only per live connection. Shutdown is cooperative: a shared
+//! flag is set, the accept loop is unblocked with a throwaway
+//! self-connection, and handler threads notice the flag via a short
+//! socket read timeout — no thread is ever killed mid-write, so every
+//! accepted request gets a response.
 //!
 //! Connections are hardened against slow and hostile peers
 //! ([`TcpConfig`]): a per-connection **idle deadline** hangs up on
@@ -86,6 +91,26 @@ pub struct TcpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
+    /// Connection handler threads not yet joined. The accept loop joins
+    /// finished ones as it goes, so this holds the live connections plus
+    /// at most the ones that closed since the last accept.
+    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+}
+
+/// Joins the handler threads that have already returned, keeping the
+/// rest registered.
+fn reap_finished(handlers: &Mutex<Vec<JoinHandle<()>>>) {
+    let finished: Vec<JoinHandle<()>> = {
+        let mut registered = lock_unpoisoned(handlers);
+        let (finished, live) = std::mem::take(&mut *registered)
+            .into_iter()
+            .partition(|h| h.is_finished());
+        *registered = live;
+        finished
+    };
+    for h in finished {
+        let _ = h.join();
+    }
 }
 
 fn serve_error_response(e: ServeError) -> Response {
@@ -210,29 +235,30 @@ impl TcpServer {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let handlers = Arc::new(Mutex::new(Vec::new()));
         let accept_stop = Arc::clone(&stop);
+        let registry = Arc::clone(&handlers);
         let accept_thread = std::thread::spawn(move || {
-            let mut handlers: Vec<JoinHandle<()>> = Vec::new();
             for conn in listener.incoming() {
                 if accept_stop.load(Ordering::Acquire) {
                     break;
                 }
                 let Ok(mut stream) = conn else { continue };
+                reap_finished(&registry);
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&accept_stop);
                 let cfg = cfg.clone();
-                handlers.push(std::thread::spawn(move || {
+                let handler = std::thread::spawn(move || {
                     handle_connection(&server, &mut stream, &stop, &cfg);
-                }));
-            }
-            for h in handlers {
-                let _ = h.join();
+                });
+                lock_unpoisoned(&registry).push(handler);
             }
         });
         Ok(TcpServer {
             addr,
             stop,
             accept_thread: Mutex::new(Some(accept_thread)),
+            handlers,
         })
     }
 
@@ -260,6 +286,18 @@ impl TcpServer {
         if let Some(h) = handle {
             let _ = h.join();
         }
+        // The accept loop has exited, so no handler registers after this
+        // drain; handlers see the stop flag within one poll interval.
+        let handlers: Vec<_> = lock_unpoisoned(&self.handlers).drain(..).collect();
+        for h in handlers {
+            let _ = h.join();
+        }
+    }
+
+    /// Number of registered (not yet joined) handler threads.
+    #[cfg(test)]
+    fn handler_threads(&self) -> usize {
+        lock_unpoisoned(&self.handlers).len()
     }
 }
 
@@ -453,5 +491,57 @@ impl Client {
             Response::Ok { seconds, .. } => Ok(seconds),
             other => Err(WireError::Malformed(format!("server said {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerConfig;
+    use std::time::Instant;
+
+    #[test]
+    fn closed_connections_are_reaped_and_live_ones_kept() {
+        let server = Arc::new(PredictionServer::start(&ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        }));
+        let tcp = TcpServer::serve_with(
+            Arc::clone(&server),
+            "127.0.0.1:0",
+            TcpConfig {
+                idle_timeout: Duration::from_secs(30),
+                frame_timeout: Duration::from_secs(2),
+                poll: Duration::from_millis(20),
+            },
+        )
+        .unwrap();
+        let live: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(tcp.addr()).unwrap())
+            .collect();
+        for _ in 0..200 {
+            drop(TcpStream::connect(tcp.addr()).unwrap());
+        }
+        // Reaping happens on accept: keep opening (and closing) a probe
+        // connection until the handlers of every closed connection have
+        // exited and been joined. At most the last probe's handler may
+        // still be registered beside the live connections'.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut registered = tcp.handler_threads();
+        while registered > live.len() + 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(TcpStream::connect(tcp.addr()).unwrap());
+            std::thread::sleep(Duration::from_millis(20));
+            registered = tcp.handler_threads();
+        }
+        assert!(
+            (live.len()..=live.len() + 1).contains(&registered),
+            "{registered} handler threads registered for {} live connections",
+            live.len()
+        );
+        drop(live);
+        tcp.shutdown();
+        assert_eq!(tcp.handler_threads(), 0, "shutdown joins every handler");
+        server.shutdown();
     }
 }

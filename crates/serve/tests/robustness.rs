@@ -424,3 +424,98 @@ fn client_retries_reconnect_and_give_up_typed() {
     drop(client);
     handle.join().unwrap();
 }
+
+/// Compiles every (network, batch) the tests below request straight into
+/// the server's cache, so those keys are resident without drawing any
+/// admission sequence number.
+fn prewarm(server: &PredictionServer, suite: &Workflow, batches: &[usize]) {
+    for net in &small_nets() {
+        for &b in batches {
+            server.cache().get_or_compile(suite, net, b).unwrap();
+        }
+    }
+}
+
+#[test]
+fn panic_plan_targets_warm_keys_through_the_pool() {
+    let plan = PanicPlan::new(0x1A11E, 0.3);
+    let mut cfg = config(2, 32);
+    cfg.panic_plan = Some(plan.clone());
+    let server = PredictionServer::start(&cfg);
+    let suite = train_suite();
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    prewarm(&server, &suite, &[1, 2]);
+    let nets = small_nets();
+
+    let total = 60u64;
+    let mut fired = 0u64;
+    for seq in 0..total {
+        let net = &nets[(seq as usize) % nets.len()];
+        let out = server.predict("t", net.name(), 1 + (seq as usize % 2));
+        if plan.fires(seq) {
+            fired += 1;
+            assert!(
+                matches!(out, Err(ServeError::Internal(_))),
+                "warm seq {seq} is targeted and must crash a worker, got {out:?}"
+            );
+        } else {
+            assert!(out.is_ok(), "seq {seq} should succeed, got {out:?}");
+        }
+    }
+    assert!(fired > 0, "seed must fire at least once for this test");
+
+    let s = server.stats();
+    assert_eq!(s.admitted, total);
+    assert_eq!(s.panicked, plan.fires_among(s.admitted));
+    assert_eq!(s.respawns, s.panicked, "every panic respawned a worker");
+    assert_eq!(
+        s.inline,
+        total - fired,
+        "every untargeted warm key ran inline"
+    );
+    assert_eq!(s.completed, total - fired);
+    server.shutdown();
+}
+
+#[test]
+fn warm_keys_are_refused_after_shutdown() {
+    let server = PredictionServer::start(&config(2, 16));
+    let suite = train_suite();
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    prewarm(&server, &suite, &[1]);
+    let net = small_nets().remove(0);
+    assert!(server.predict("t", net.name(), 1).is_ok());
+
+    server.shutdown();
+    assert_eq!(
+        server.predict("t", net.name(), 1).unwrap_err(),
+        ServeError::ShuttingDown
+    );
+    assert_eq!(
+        server.predict_graceful("t", net.name(), 1).unwrap_err(),
+        ServeError::ShuttingDown
+    );
+}
+
+#[test]
+fn without_workers_warm_keys_are_answered_and_cold_ones_park() {
+    let server = PredictionServer::start(&config(0, 4));
+    let suite = train_suite();
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    prewarm(&server, &suite, &[1]);
+    let net = small_nets().remove(0);
+
+    let warm = server.predict("t", net.name(), 1).unwrap();
+    assert_eq!(warm.to_bits(), suite.predict(&net, 1).unwrap().to_bits());
+    let cold = server.submit("t", net.name(), 8).unwrap();
+    let s = server.stats();
+    assert_eq!((s.admitted, s.completed, s.inline), (2, 1, 1));
+
+    // Nothing drains the queue: the cold request is answered only when
+    // shutdown sweeps it.
+    server.shutdown();
+    assert_eq!(cold.wait().unwrap_err(), ServeError::ShuttingDown);
+}

@@ -7,7 +7,8 @@ use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Network};
 use dnnperf_gpu::GpuSpec;
 use dnnperf_serve::{
-    CacheConfig, Client, PredictionServer, Request, Response, ServeError, ServerConfig, TcpServer,
+    CacheConfig, Client, PredictionServer, Reply, Request, Response, ServeError, ServerConfig,
+    TcpServer,
 };
 use std::sync::Arc;
 
@@ -241,6 +242,128 @@ fn tcp_round_trip_is_bit_exact_for_many_concurrent_clients() {
 
     // Clean, idempotent shutdown.
     tcp.shutdown();
+    tcp.shutdown();
+    server.shutdown();
+}
+
+/// Waits out a request that must take the worker path and returns its
+/// answer, asserting it was not answered inline.
+fn via_worker<T>(server: &PredictionServer, call: impl FnOnce() -> T) -> T {
+    let inline = server.stats().inline;
+    let out = call();
+    assert_eq!(server.stats().inline, inline, "a cold key must miss inline");
+    out
+}
+
+/// Serves a request that must be answered inline and returns its answer.
+fn via_inline<T>(server: &PredictionServer, call: impl FnOnce() -> T) -> T {
+    let before = server.stats();
+    let out = call();
+    let after = server.stats();
+    assert_eq!(
+        after.inline,
+        before.inline + 1,
+        "a warm key must hit inline"
+    );
+    assert_eq!(after.completed, before.completed + 1);
+    out
+}
+
+#[test]
+fn inline_answers_are_bit_identical_to_worker_answers_and_direct_calls() {
+    let suite = train_suite("A100");
+    let server = PredictionServer::start(&test_config());
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+
+    for net in &small_nets() {
+        for batch in [1usize, 8, 32] {
+            let direct = suite.predict(net, batch).unwrap();
+            let direct_g = suite.predict_graceful(net, batch).unwrap();
+            // The first request of a key compiles on a worker; every later
+            // one is answered inline from the resident plan.
+            let cold = via_worker(&server, || server.predict("t", net.name(), batch)).unwrap();
+            let warm = via_inline(&server, || server.predict("t", net.name(), batch)).unwrap();
+            let warm_dl = via_inline(&server, || {
+                server.predict_deadline("t", net.name(), batch, 60_000)
+            })
+            .unwrap();
+            for got in [cold, warm, warm_dl] {
+                assert_eq!(got.to_bits(), direct.to_bits(), "{} b{batch}", net.name());
+            }
+            let warm_g =
+                via_inline(&server, || server.predict_graceful("t", net.name(), batch)).unwrap();
+            assert_eq!(warm_g.seconds.to_bits(), direct_g.seconds.to_bits());
+            assert_eq!(warm_g.notes, direct_g.notes);
+        }
+    }
+
+    // A cold graceful request with a deadline (worker path) agrees with
+    // its inline replay, notes included.
+    let net = small_nets().remove(0);
+    let submit = || {
+        server
+            .submit_graceful_deadline("t", net.name(), 64, 60_000)
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    let cold = via_worker(&server, submit);
+    let warm = via_inline(&server, submit);
+    assert_eq!(cold, warm);
+    assert_eq!(
+        warm,
+        Reply::Graceful(suite.predict_graceful(&net, 64).unwrap())
+    );
+    server.shutdown();
+}
+
+#[test]
+fn prewarmed_requests_are_all_answered_inline_and_counted() {
+    let suite = train_suite("A100");
+    let server = Arc::new(PredictionServer::start(&test_config()));
+    server.register_tenant("t", Arc::clone(&suite));
+    server.add_networks(small_nets());
+    for net in &small_nets() {
+        server.cache().get_or_compile(&suite, net, 8).unwrap();
+    }
+
+    let before = server.stats();
+    let mut n = 0u64;
+    for net in &small_nets() {
+        server.predict("t", net.name(), 8).unwrap();
+        server.predict_graceful("t", net.name(), 8).unwrap();
+        n += 2;
+    }
+    let after = server.stats();
+    assert_eq!(after.inline - before.inline, n);
+    assert_eq!(
+        after.completed - before.completed,
+        n,
+        "no worker completions for resident plans"
+    );
+
+    // A cold key takes the worker path.
+    let net = small_nets().remove(0);
+    server.predict("t", net.name(), 3).unwrap();
+    let cold = server.stats();
+    assert_eq!(cold.inline, after.inline);
+    assert_eq!(
+        cold.completed - cold.inline,
+        after.completed - after.inline + 1
+    );
+
+    // The wire `stats` response exports the provenance counter.
+    let tcp = TcpServer::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(tcp.addr()).unwrap();
+    client.predict("t", net.name(), 3).unwrap();
+    match client.call(&Request::Stats).unwrap() {
+        Response::Stats(pairs) => {
+            let inline = pairs.iter().find(|(k, _)| k == "inline").map(|(_, v)| *v);
+            assert_eq!(inline, Some(cold.inline + 1));
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
     tcp.shutdown();
     server.shutdown();
 }
