@@ -32,6 +32,7 @@
 //!   every counter must match exactly; the prediction checksum must match
 //!   to 1e-6 relative.
 
+use dnnperf_bench::json_number;
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -92,15 +93,6 @@ fn parse_flags() -> Flags {
         }
     }
     flags
-}
-
-/// Extracts the number following `"key":` from a (flat) JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn fail(msg: &str) -> ! {

@@ -22,6 +22,7 @@
 //! * `--out PATH` — write the figures as one JSON document (BENCH_7.json);
 //! * `--check PATH` — re-run and gate against a committed baseline.
 
+use dnnperf_bench::json_number;
 use dnnperf_core::{IgkwModel, PredictionOracle, Workflow};
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Network};
@@ -73,15 +74,6 @@ fn parse_flags() -> Flags {
         }
     }
     flags
-}
-
-/// Extracts the number following `"key":` from a (flat) JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn catalog() -> Vec<Network> {

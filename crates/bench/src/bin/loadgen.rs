@@ -22,6 +22,7 @@
 //!   exploring admission control, but not meaningful under `--check`
 //!   unless the baseline was captured with the same deadline.
 
+use dnnperf_bench::json_number;
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -89,15 +90,6 @@ fn parse_flags() -> Flags {
         }
     }
     flags
-}
-
-/// Extracts the number following `"key":` from a (flat) JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn train_nets() -> Vec<dnnperf_dnn::Network> {

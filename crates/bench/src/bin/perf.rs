@@ -40,6 +40,7 @@
 //!   fail if the 8-thread train speedup is below 2x (cores permitting) or
 //!   if serial training ns/row regressed by more than 2x.
 
+use dnnperf_bench::json_number;
 use dnnperf_bench::timer::{bench, BenchResult};
 use dnnperf_core::plan::CompiledPlan;
 use dnnperf_core::{Predictor, TrainOptions, Workflow};
@@ -129,15 +130,6 @@ fn parse_flags() -> Flags {
         }
     }
     flags
-}
-
-/// Extracts the number following `"key":` from a (flat) JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 struct Report {

@@ -24,6 +24,23 @@ pub const SPLIT_SEED: u64 = 2023;
 /// Percentage points of the S-curve X axis in Figures 11-14.
 pub const S_CURVE_PERCENTS: [f64; 7] = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0];
 
+/// Extracts the number following `"key":` from a flat JSON document (the
+/// committed `BENCH_*.json` baselines the gated bins `--check` against).
+///
+/// ```
+/// let doc = "{\n  \"p99_us\": 130.5,\n  \"errors\": 0\n}";
+/// assert_eq!(dnnperf_bench::json_number(doc, "p99_us"), Some(130.5));
+/// assert_eq!(dnnperf_bench::json_number(doc, "errors"), Some(0.0));
+/// assert_eq!(dnnperf_bench::json_number(doc, "missing"), None);
+/// ```
+pub fn json_number(doc: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = doc.find(&needle)? + needle.len();
+    let rest = &doc[at..];
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
 /// Prints the experiment banner.
 pub fn banner(id: &str, title: &str) {
     println!("================================================================");

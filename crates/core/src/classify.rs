@@ -8,9 +8,7 @@
 //! of the linear regression (the R² value)".
 
 use dnnperf_data::{DatasetView, GroupView, KernelRow};
-use dnnperf_linreg::{
-    fit_bounded_intercept, fit_bounded_segments, mean, Fit, Line, OlsAccum, FIT_CHUNK,
-};
+use dnnperf_linreg::{fit_bounded_segments, mean, Fit, Line, OlsAccum, FIT_CHUNK};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -111,41 +109,6 @@ impl KernelClassification {
     }
 }
 
-/// Rows-per-kernel reservation for [`group_by_kernel`]: every kernel in a
-/// collected dataset appears once per (network, batch) grid point it runs
-/// in, so even small grids put double-digit row counts behind each symbol.
-/// Reserving up front removes the doubling reallocations from the grouping
-/// pass without over-committing on tiny fixture inputs.
-const GROUP_ROWS_RESERVE: usize = 16;
-
-/// Groups kernel rows by kernel symbol in a single pass.
-///
-/// Entry-style insertion with pre-reserved row vectors: one ordered-map
-/// probe per row, no second scan over the input.
-pub fn group_by_kernel(rows: &[KernelRow]) -> BTreeMap<Arc<str>, Vec<&KernelRow>> {
-    let mut grouped: BTreeMap<Arc<str>, Vec<&KernelRow>> = BTreeMap::new();
-    for r in rows {
-        grouped
-            .entry(r.kernel.clone())
-            .or_insert_with(|| Vec::with_capacity(GROUP_ROWS_RESERVE.min(rows.len())))
-            .push(r);
-    }
-    grouped
-}
-
-/// [`group_by_kernel`] over borrowed rows — the allocation-free training
-/// path groups a GPU-filtered view of a dataset without cloning any row.
-pub fn group_row_refs<'a>(rows: &[&'a KernelRow]) -> BTreeMap<Arc<str>, Vec<&'a KernelRow>> {
-    let mut grouped: BTreeMap<Arc<str>, Vec<&'a KernelRow>> = BTreeMap::new();
-    for r in rows {
-        grouped
-            .entry(r.kernel.clone())
-            .or_insert_with(|| Vec::with_capacity(GROUP_ROWS_RESERVE.min(rows.len())))
-            .push(r);
-    }
-    grouped
-}
-
 fn constant_classification(kernel: Arc<str>, ys: &[f64]) -> KernelClassification {
     let c = Fit {
         line: Line::new(0.0, mean(ys)),
@@ -158,44 +121,6 @@ fn constant_classification(kernel: Arc<str>, ys: &[f64]) -> KernelClassification
         fits: [None, Some(c), None],
         r2: [f64::NEG_INFINITY; 3],
         n: ys.len(),
-    }
-}
-
-/// Classifies one kernel's samples.
-pub fn classify_one(kernel: Arc<str>, rows: &[&KernelRow]) -> KernelClassification {
-    let ys: Vec<f64> = rows.iter().map(|r| r.seconds).collect();
-    let mut fits: [Option<Fit>; 3] = [None, None, None];
-    let mut r2 = [f64::NEG_INFINITY; 3];
-    for (i, driver) in Driver::all().into_iter().enumerate() {
-        let xs: Vec<f64> = rows.iter().map(|r| r.drivers()[driver.index()]).collect();
-        if let Ok(f) = fit_bounded_intercept(&xs, &ys) {
-            // A negative slope is physically meaningless for a time-vs-work
-            // relation, and a fit worse than the plain mean (R² <= 0) is not
-            // a candidate either.
-            if f.line.slope >= 0.0 && f.r2 > 0.0 {
-                r2[i] = f.r2;
-                fits[i] = Some(f);
-            }
-        }
-    }
-    // Equivalent to `(0..3).max_by(total_cmp)` (last maximum wins on
-    // ties) without the range-is-nonempty `expect`.
-    let best = (1..3).fold(0, |b, i| {
-        if r2[i].total_cmp(&r2[b]).is_ge() {
-            i
-        } else {
-            b
-        }
-    });
-    if r2[best] == f64::NEG_INFINITY {
-        return constant_classification(kernel, &ys);
-    }
-    KernelClassification {
-        kernel,
-        driver: Driver::all()[best],
-        fits,
-        r2,
-        n: rows.len(),
     }
 }
 
@@ -219,9 +144,10 @@ pub fn classify_kernels(rows: &[KernelRow]) -> BTreeMap<Arc<str>, KernelClassifi
 }
 
 /// Finalises one group's three candidate regressions from its accumulated
-/// chunk partials, applying the same admission rules as [`classify_one`]
-/// (non-negative slope, R² better than the plain mean, last maximum wins
-/// ties).
+/// chunk partials. A candidate is admitted only with a non-negative slope
+/// (a negative one is physically meaningless for a time-vs-work relation)
+/// and an R² better than the plain mean; the last maximum wins ties, and a
+/// group with no admissible candidate gets a constant (mean) model.
 fn classify_group(gv: &GroupView<'_>, accs: &[OlsAccum; 3]) -> KernelClassification {
     let ys = gv.seconds;
     let mut fits: [Option<Fit>; 3] = [None, None, None];
@@ -234,6 +160,8 @@ fn classify_group(gv: &GroupView<'_>, accs: &[OlsAccum; 3]) -> KernelClassificat
             }
         }
     }
+    // Equivalent to `(0..3).max_by(total_cmp)` (last maximum wins on
+    // ties) without the range-is-nonempty `expect`.
     let best = (1..3).fold(0, |b, i| {
         if r2[i].total_cmp(&r2[b]).is_ge() {
             i
@@ -323,27 +251,6 @@ pub fn classify_view(
     .collect()
 }
 
-/// Classifies pre-grouped kernel rows, fanning the per-kernel three-driver
-/// fits out over up to `threads` workers.
-///
-/// The grouped entry point lets [`crate::KwModel`] share one
-/// [`group_by_kernel`] pass between classification and clustering instead
-/// of re-scanning the rows. Kernels are classified independently and the
-/// results are stitched back in symbol order, so the output is
-/// byte-identical to the serial path for every thread count.
-pub fn classify_kernels_grouped(
-    groups: &BTreeMap<Arc<str>, Vec<&KernelRow>>,
-    threads: usize,
-) -> BTreeMap<Arc<str>, KernelClassification> {
-    let items: Vec<(&Arc<str>, &Vec<&KernelRow>)> = groups.iter().collect();
-    crate::par::map_ref(&items, threads, |(k, rs)| {
-        let c = classify_one((*k).clone(), rs);
-        ((*k).clone(), c)
-    })
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,8 +284,7 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("im2col"), &refs);
+        let c = &classify_kernels(&rows)["im2col"];
         assert_eq!(c.driver, Driver::Input);
         assert!(c.r2[0] > 0.99);
         assert!(c.r2[0] > c.r2[1] && c.r2[0] > c.r2[2]);
@@ -397,8 +303,7 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("gemm"), &refs);
+        let c = &classify_kernels(&rows)["gemm"];
         assert_eq!(c.driver, Driver::Operation);
     }
 
@@ -415,16 +320,14 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("bias"), &refs);
+        let c = &classify_kernels(&rows)["bias"];
         assert_eq!(c.driver, Driver::Output);
     }
 
     #[test]
     fn degenerate_samples_get_constant_model() {
         let rows = [row("k", 5, 5, 5, 2.0)];
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("k"), &refs);
+        let c = &classify_kernels(&rows)["k"];
         let f = c.chosen_fit();
         assert_eq!(f.line.slope, 0.0);
         assert_eq!(f.line.intercept, 2.0);
@@ -436,8 +339,7 @@ mod tests {
         let rows: Vec<KernelRow> = (1..20u64)
             .map(|i| row("weird", i * 100, 7, 7, (30 - i) as f64))
             .collect();
-        let refs: Vec<&KernelRow> = rows.iter().collect();
-        let c = classify_one(Arc::from("weird"), &refs);
+        let c = &classify_kernels(&rows)["weird"];
         // Input fit would be perfect but negative; must not be chosen.
         assert!(c.fits[0].is_none());
     }
@@ -468,15 +370,11 @@ mod tests {
                 ));
             }
         }
-        let groups = group_by_kernel(&rows);
-        let serial = classify_kernels_grouped(&groups, 1);
-        assert_eq!(serial, classify_kernels(&rows));
+        let serial = classify_kernels(&rows);
+        let refs: Vec<&KernelRow> = rows.iter().collect();
+        let view = DatasetView::from_refs(&refs);
         for threads in [2, 3, 8] {
-            assert_eq!(
-                classify_kernels_grouped(&groups, threads),
-                serial,
-                "threads = {threads}"
-            );
+            assert_eq!(classify_view(&view, threads), serial, "threads = {threads}");
         }
     }
 }

@@ -12,9 +12,7 @@
 
 use crate::classify::{Driver, KernelClassification};
 use dnnperf_data::{DatasetView, KernelRow};
-use dnnperf_linreg::{
-    fit_bounded_intercept, fit_bounded_segments, mean, Fit, Line, OlsAccum, FIT_CHUNK,
-};
+use dnnperf_linreg::{fit_bounded_segments, Fit, Line, OlsAccum, FIT_CHUNK};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,33 +70,6 @@ impl Clustering {
     }
 }
 
-fn pooled_fit(
-    driver: Driver,
-    members: &[Arc<str>],
-    by_kernel: &BTreeMap<Arc<str>, Vec<&KernelRow>>,
-) -> Fit {
-    let total: usize = members
-        .iter()
-        .map(|m| by_kernel.get(m).map_or(0, Vec::len))
-        .sum();
-    let mut xs = Vec::with_capacity(total);
-    let mut ys = Vec::with_capacity(total);
-    for m in members {
-        for r in by_kernel.get(m).into_iter().flatten() {
-            xs.push(r.drivers()[driver.index()]);
-            ys.push(r.seconds);
-        }
-    }
-    match fit_bounded_intercept(&xs, &ys) {
-        Ok(f) if f.line.slope >= 0.0 => f,
-        _ => Fit {
-            line: Line::new(0.0, mean(&ys)),
-            r2: 0.0,
-            n: ys.len(),
-        },
-    }
-}
-
 /// Clusters classified kernels whose slopes agree within `slope_tolerance`
 /// (ratio), per driver class, and refits each cluster on pooled samples.
 ///
@@ -131,8 +102,10 @@ pub fn cluster_kernels(
 /// Clusters classified kernels over a columnar [`DatasetView`] on up to
 /// `threads` workers — the training hot path.
 ///
-/// The greedy membership sweep is the same single ordered pass as
-/// [`cluster_kernels_grouped`] and stays serial. The pooled refits then run
+/// The greedy membership sweep is a single ordered pass over the
+/// classified kernels and stays serial: per driver class, kernels sorted by
+/// slope join the current cluster while their slope stays within
+/// `slope_tolerance` of its first member's. The pooled refits then run
 /// in two worker-count-independent phases: the *virtual concatenation* of
 /// each cluster's member rows is cut into sub-chunks of exactly
 /// [`FIT_CHUNK`] rows (chunk boundaries cross member-group boundaries
@@ -155,8 +128,8 @@ pub fn cluster_view(
 ) -> Clustering {
     assert!(slope_tolerance >= 1.0, "slope tolerance must be >= 1");
 
-    // Greedy membership sweep — identical ordering and tolerance rules to
-    // the grouped path; members are recorded as view group indices.
+    // Greedy membership sweep; members are recorded as view group
+    // indices.
     let mut assignment = BTreeMap::new();
     let mut clusters: Vec<(Driver, Vec<usize>)> = Vec::new();
     for driver in Driver::all() {
@@ -255,8 +228,8 @@ pub fn cluster_view(
             _ => {
                 // Constant fallback: mean of the pooled targets, summed as
                 // one running left-to-right sweep in segment order — the
-                // same floating-point sequence `mean` runs on the
-                // concatenated vector the legacy path materialised.
+                // same floating-point sequence `mean` would run on the
+                // concatenated targets.
                 let mut sum = 0.0f64;
                 let mut n = 0usize;
                 for (_, ys) in &segments {
@@ -278,64 +251,6 @@ pub fn cluster_view(
     Clustering { assignment, models }
 }
 
-/// Clusters pre-grouped kernel rows, fanning the per-cluster pooled refits
-/// out over up to `threads` workers.
-///
-/// The cheap greedy membership sweep stays serial (it is a single ordered
-/// pass over the classified kernels); only the pooled OLS refits — the
-/// expensive part — run on the pool. Cluster membership is decided before
-/// any fit runs and the fits are stitched back in cluster-id order, so the
-/// result is byte-identical to the serial path for every thread count.
-///
-/// # Panics
-///
-/// Panics if `slope_tolerance < 1.0`.
-pub fn cluster_kernels_grouped(
-    by_kernel: &BTreeMap<Arc<str>, Vec<&KernelRow>>,
-    classes: &BTreeMap<Arc<str>, KernelClassification>,
-    slope_tolerance: f64,
-    threads: usize,
-) -> Clustering {
-    assert!(slope_tolerance >= 1.0, "slope tolerance must be >= 1");
-
-    // Partition kernels by driver, sort by slope, then sweep greedily.
-    // Membership is fully decided here; the fits happen afterwards.
-    let mut assignment = BTreeMap::new();
-    let mut clusters: Vec<(Driver, Vec<Arc<str>>)> = Vec::new();
-    for driver in Driver::all() {
-        let mut members: Vec<(&Arc<str>, f64)> = classes
-            .iter()
-            .filter(|(k, c)| c.driver == driver && by_kernel.contains_key(*k))
-            .map(|(k, c)| (k, c.chosen_fit().line.slope))
-            .collect();
-        members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-
-        let mut i = 0;
-        while i < members.len() {
-            let mut j = i + 1;
-            let base = members[i].1;
-            while j < members.len() && slopes_close(base, members[j].1, slope_tolerance) {
-                j += 1;
-            }
-            let cluster: Vec<Arc<str>> = members[i..j].iter().map(|(k, _)| (*k).clone()).collect();
-            let id = clusters.len();
-            for k in &cluster {
-                assignment.insert(k.clone(), id);
-            }
-            clusters.push((driver, cluster));
-            i = j;
-        }
-    }
-
-    // Per-cluster pooled refits on the work-stealing pool, results in
-    // cluster-id order.
-    let models: Vec<(Driver, Fit)> =
-        crate::par::map_ref(&clusters, threads, |(driver, members)| {
-            (*driver, pooled_fit(*driver, members, by_kernel))
-        });
-    Clustering { assignment, models }
-}
-
 fn slopes_close(a: f64, b: f64, tolerance: f64) -> bool {
     if a <= 0.0 || b <= 0.0 {
         // Constant (zero-slope) kernels cluster together.
@@ -348,7 +263,7 @@ fn slopes_close(a: f64, b: f64, tolerance: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify_kernels, group_by_kernel};
+    use crate::classify::classify_kernels;
 
     fn row(kernel: &str, x: u64, seconds: f64) -> KernelRow {
         KernelRow {
@@ -387,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fit_is_between_member_slopes() {
+    fn pooled_refit_is_between_member_slopes() {
         let rows = synthetic(&[("a", 1.0), ("b", 1.2)]);
         let classes = classify_kernels(&rows);
         let cl = cluster_kernels(&rows, &classes, 1.35);
@@ -450,21 +365,14 @@ mod tests {
     fn parallel_refits_match_serial_exactly() {
         let rows = synthetic(&[("a", 1.0), ("b", 1.1), ("c", 10.0), ("d", 0.2), ("e", 0.21)]);
         let classes = classify_kernels(&rows);
-        let by_kernel = group_by_kernel(&rows);
-        let serial = cluster_kernels_grouped(&by_kernel, &classes, 1.35, 1);
-        assert_eq!(serial, cluster_kernels(&rows, &classes, 1.35));
+        let serial = cluster_kernels(&rows, &classes, 1.35);
         let refs: Vec<&KernelRow> = rows.iter().collect();
         let view = dnnperf_data::DatasetView::from_refs(&refs);
         for threads in [2, 3, 8] {
             assert_eq!(
-                cluster_kernels_grouped(&by_kernel, &classes, 1.35, threads),
-                serial,
-                "grouped threads = {threads}"
-            );
-            assert_eq!(
                 cluster_view(&view, &classes, 1.35, threads),
                 serial,
-                "view threads = {threads}"
+                "threads = {threads}"
             );
         }
     }

@@ -13,10 +13,10 @@
 //! networks — on GPUs absent from the training set, including hypothetical
 //! configurations (Case Study 1).
 
-use crate::classify::{classify_one, group_by_kernel, Driver};
+use crate::classify::{classify_view, Driver, KernelClassification};
 use crate::error::{PredictError, TrainError};
 use crate::mapping::KernelMap;
-use dnnperf_data::Dataset;
+use dnnperf_data::{Dataset, DatasetView, KernelRow};
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::{Layer, Network};
 use dnnperf_gpu::GpuSpec;
@@ -107,33 +107,23 @@ impl IgkwModel {
         metric: TransferMetric,
         allow_floor: bool,
     ) -> Result<Self, TrainError> {
-        // Per GPU: per-kernel classification and fits.
-        let mut per_gpu: Vec<(
-            f64,
-            BTreeMap<Arc<str>, crate::classify::KernelClassification>,
-        )> = Vec::new();
+        // Per GPU: per-kernel classification and fits over a columnar view
+        // of the GPU's borrowed rows.
+        let mut per_gpu: Vec<(f64, BTreeMap<Arc<str>, KernelClassification>)> = Vec::new();
         let mut map = KernelMap::default();
         for gpu in gpus {
-            let rows: Vec<_> = dataset
+            let rows: Vec<&KernelRow> = dataset
                 .kernels
                 .iter()
                 .filter(|r| *r.gpu == gpu.name)
-                .cloned()
                 .collect();
             if rows.is_empty() {
                 return Err(TrainError::NoDataForGpu {
                     gpu: gpu.name.clone(),
                 });
             }
-            map.merge(KernelMap::from_rows(&rows));
-            let grouped = group_by_kernel(&rows);
-            let classes = grouped
-                .into_iter()
-                .map(|(k, rs)| {
-                    let c = classify_one(k.clone(), &rs);
-                    (k, c)
-                })
-                .collect();
+            map.merge(KernelMap::from_row_refs(&rows));
+            let classes = classify_view(&DatasetView::from_refs(&rows), 1);
             per_gpu.push((metric_value(metric, gpu), classes));
         }
 

@@ -57,6 +57,7 @@ pub mod overhead;
 mod par;
 pub mod persist;
 pub mod plan;
+pub mod plan_cache;
 pub mod workflow;
 
 pub use classify::{classify_kernels, classify_view, Driver, KernelClassification};
@@ -73,4 +74,5 @@ pub use oracle::{OraclePrediction, OracleSource, PlanSource, PredictionOracle};
 pub use overhead::{KwWithOverhead, OverheadModel};
 pub use persist::PersistError;
 pub use plan::CompiledPlan;
+pub use plan_cache::{CacheConfig, CacheStats, PlanKey, SharedPlanCache};
 pub use workflow::{TrainOptions, Workflow};

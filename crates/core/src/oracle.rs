@@ -17,11 +17,12 @@
 //!   ([`IgkwModel::predict_network_on`]), flagged as
 //!   [`OracleSource::Igkw`].
 //!
-//! Plan lookups route through a pluggable [`PlanSource`] so callers can
-//! substitute a shared, memory-budgeted serving cache (the
-//! `dnnperf-serve` crate implements [`PlanSource`] for its
-//! `SharedPlanCache`) without the oracle caring where plans live. The
-//! default source is each suite's own [`Workflow::plan`] cache.
+//! Plan lookups route through a pluggable [`PlanSource`]. Both impls live
+//! in this crate: the default [`SuitePlans`] uses each suite's own
+//! [`Workflow::plan`] cache, and [`SharedPlanCache`](crate::SharedPlanCache)
+//! — the same cache type, shared — lets a simulator draw from the
+//! resident set a prediction server uses, without the oracle caring
+//! where plans live.
 //!
 //! The oracle consumes only public model surfaces — compiled plans and
 //! IGKW fits — never `dnnperf_gpu::timing`; the oracle-isolation lint
@@ -41,9 +42,9 @@ use std::sync::Arc;
 
 /// Where a compiled plan for `(suite, network, batch)` comes from.
 ///
-/// The default implementation is the suite's own plan cache; a serving
-/// layer can implement this for a shared, budgeted cache so simulators
-/// and servers draw from the same resident plans.
+/// The default implementation is the suite's own plan cache; a
+/// [`SharedPlanCache`](crate::SharedPlanCache) shared with a prediction
+/// server lets simulators and servers draw from the same resident plans.
 pub trait PlanSource: Send + Sync {
     /// The compiled plan for the request, compiling on miss.
     ///

@@ -32,10 +32,10 @@
 //!
 //! [`Workflow::predict`](crate::Workflow::predict) and
 //! [`Workflow::predict_graceful`](crate::Workflow::predict_graceful) route
-//! through a per-`(network, batch)` plan cache, so repeated predictions
-//! never re-dispatch. Plans are built only from the public model surfaces
-//! (the mapping table, the clustering, the fitted lines) — never from
-//! simulator internals.
+//! through the suite's [`SharedPlanCache`](crate::SharedPlanCache), so
+//! repeated predictions never re-dispatch. Plans are built only from the
+//! public model surfaces (the mapping table, the clustering, the fitted
+//! lines) — never from simulator internals.
 
 use crate::classify::Driver;
 use crate::degrade::{Degradation, GracefulPrediction};
@@ -44,10 +44,7 @@ use crate::model::Predictor;
 use crate::workflow::Workflow;
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Network;
-use dnnperf_sched::sync::lock_unpoisoned;
-use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How the graceful-degradation ladder resolved one layer at compile time.
 #[derive(Debug, Clone, PartialEq)]
@@ -547,80 +544,6 @@ pub fn network_fingerprint(net: &Network) -> u64 {
         h = fnv1a_layer(h, l);
     }
     h
-}
-
-/// Interior-mutable cache of compiled plans keyed by
-/// `(suite generation, network name, batch, fingerprint)`.
-///
-/// The suite generation (see [`Workflow::generation`]) makes staleness
-/// structurally impossible: retraining produces a suite with a fresh
-/// generation, and [`Workflow::invalidate_plans`] bumps the generation of
-/// a suite whose public model fields were swapped in place, so a key
-/// minted against old models can never resolve to a plan compiled against
-/// new ones (or vice versa).
-///
-/// Compilation happens outside the lock: two racing threads may both
-/// compile the same plan, but the first insertion wins and both observe
-/// the same cached `Arc`. Cloning a [`PlanCache`] snapshots the entry map
-/// (the immutable `Arc<CompiledPlan>` values are shared, not recompiled),
-/// so a cloned [`Workflow`]'s first `predict` of a previously served
-/// request is a cache hit — and each clone still owns an independent map,
-/// so invalidating one suite never drains its ancestor's cache.
-#[derive(Default)]
-pub(crate) struct PlanCache {
-    inner: Mutex<BTreeMap<CacheKey, Arc<CompiledPlan>>>,
-}
-
-/// `(suite generation, structural fingerprint, batch)`. The fingerprint
-/// already digests the network name (length-prefixed) along with the
-/// full layer structure, so the key needs no owned `String` — lookups
-/// stay allocation-free on the warm path.
-type CacheKey = (u64, u64, usize);
-
-impl PlanCache {
-    /// Returns the cached plan for `(net, batch)`, compiling on miss.
-    pub(crate) fn get_or_compile(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError> {
-        let key = (suite.generation(), network_fingerprint(net), batch);
-        if let Some(p) = lock_unpoisoned(&self.inner).get(&key) {
-            return Ok(p.clone());
-        }
-        let plan = Arc::new(CompiledPlan::compile(suite, net, batch)?);
-        let mut guard = lock_unpoisoned(&self.inner);
-        Ok(guard.entry(key).or_insert(plan).clone())
-    }
-
-    /// Drops every cached plan.
-    pub(crate) fn clear(&self) {
-        lock_unpoisoned(&self.inner).clear();
-    }
-
-    /// Number of cached plans.
-    pub(crate) fn cached(&self) -> usize {
-        lock_unpoisoned(&self.inner).len()
-    }
-}
-
-impl Clone for PlanCache {
-    fn clone(&self) -> Self {
-        // Snapshot the entries: plans are immutable values behind `Arc`s,
-        // so sharing them is free and a cloned suite starts warm instead
-        // of silently recompiling its whole working set from cold.
-        let snapshot = lock_unpoisoned(&self.inner).clone();
-        PlanCache {
-            inner: Mutex::new(snapshot),
-        }
-    }
-}
-
-impl fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PlanCache({} plans)", self.cached())
-    }
 }
 
 #[cfg(test)]

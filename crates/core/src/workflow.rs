@@ -8,7 +8,8 @@ use crate::error::{PredictError, TrainError};
 use crate::kernelwise::KwModel;
 use crate::layerwise::LwModel;
 use crate::model::Predictor;
-use crate::plan::{CompiledPlan, PlanCache};
+use crate::plan::CompiledPlan;
+use crate::plan_cache::{CacheConfig, SharedPlanCache};
 use dnnperf_data::collect::collect_opts;
 use dnnperf_data::{CollectOptions, Dataset};
 use dnnperf_dnn::Network;
@@ -77,10 +78,10 @@ pub struct Workflow {
     pub lw: LwModel,
     /// The Kernel-Wise model.
     pub kw: KwModel,
-    /// Compiled-plan cache for the serving hot path. Clones snapshot the
-    /// entries (plans are immutable `Arc`s); see
-    /// [`Workflow::invalidate_plans`].
-    plans: PlanCache,
+    /// Compiled-plan cache for the serving hot path, with the default
+    /// [`CacheConfig`] budget. Clones snapshot the entries (plans are
+    /// immutable `Arc`s); see [`Workflow::invalidate_plans`].
+    plans: SharedPlanCache,
     /// Suite generation: a process-unique id minted at train time and
     /// re-minted by [`Workflow::invalidate_plans`]. Plan-cache keys carry
     /// it, so a retrained suite can never serve its predecessor's plans.
@@ -151,7 +152,7 @@ impl Workflow {
             e2e: E2eModel::train(dataset, gpu)?,
             lw: LwModel::train(dataset, gpu)?,
             kw: KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads)?,
-            plans: PlanCache::default(),
+            plans: SharedPlanCache::new(&CacheConfig::default()),
             generation: AtomicU64::new(next_generation()),
         })
     }
@@ -190,7 +191,7 @@ impl Workflow {
             e2e: E2eModel::train_with(dataset, gpu, estimator)?,
             lw: LwModel::train_with(dataset, gpu, estimator)?,
             kw: KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads)?,
-            plans: PlanCache::default(),
+            plans: SharedPlanCache::new(&CacheConfig::default()),
             generation: AtomicU64::new(next_generation()),
         })
     }
@@ -243,7 +244,7 @@ impl Workflow {
 
     /// Number of plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.plans.cached()
+        self.plans.len()
     }
 
     /// The three models as trait objects, in increasing complexity order.

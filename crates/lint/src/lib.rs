@@ -53,15 +53,21 @@ pub struct Outcome {
     pub files_scanned: usize,
     /// Number of manifests scanned.
     pub manifests_scanned: usize,
+    /// Policy path entries that match no scanned file, rendered as
+    /// messages — these fail CI like dangling baseline entries: a policy
+    /// naming a moved or deleted file silently stops checking it.
+    pub stale_policy: Vec<String>,
 }
 
 impl Outcome {
     /// Whether the run is clean (nothing unsuppressed, nothing expired,
-    /// no baseline entry pointing at a file that no longer exists).
+    /// no baseline or policy entry pointing at a file that no longer
+    /// exists).
     pub fn is_clean(&self) -> bool {
         self.applied.unsuppressed.is_empty()
             && self.applied.expired.is_empty()
             && self.applied.dangling.is_empty()
+            && self.stale_policy.is_empty()
     }
 }
 
@@ -94,10 +100,20 @@ pub fn lint_context(ctx: &Context, bl: &Baseline, today: &str) -> Outcome {
     let total = findings.len();
     let mut applied = bl.apply(findings, today);
     applied.dangling = bl.dangling_entries(|rel| ctx.files.iter().any(|f| f.rel_path == rel));
+    let stale_policy = ctx
+        .policy
+        .path_entries()
+        .into_iter()
+        .filter(|(_, prefix)| !ctx.files.iter().any(|f| f.rel_path.starts_with(prefix)))
+        .map(|(key, prefix)| {
+            format!("lint.toml [{key}] entry `{prefix}` matches no file in the scanned workspace")
+        })
+        .collect();
     Outcome {
         applied,
         total_findings: total,
         files_scanned: ctx.files.len(),
         manifests_scanned: ctx.manifests.len(),
+        stale_policy,
     }
 }

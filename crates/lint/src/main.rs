@@ -6,7 +6,8 @@
 //!                              [--explain PASS]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` findings (new or expired-baseline), `2`
+//! Exit codes: `0` clean, `1` findings (new or expired-baseline) or
+//! baseline/policy entries naming files absent from the workspace, `2`
 //! usage / I/O / policy errors.
 
 use std::path::PathBuf;
@@ -122,7 +123,7 @@ fn main() -> ExitCode {
     for msg in &outcome.applied.expired {
         eprintln!("{msg}");
     }
-    for msg in &outcome.applied.dangling {
+    for msg in outcome.applied.dangling.iter().chain(&outcome.stale_policy) {
         eprintln!("error: {msg}");
     }
     for e in &outcome.applied.unused {
@@ -133,7 +134,8 @@ fn main() -> ExitCode {
     }
     eprintln!(
         "dnnperf-lint: {} files + {} manifests scanned, {} findings \
-         ({} suppressed by baseline, {} new, {} expired, {} dangling baseline entries)",
+         ({} suppressed by baseline, {} new, {} expired, {} dangling baseline entries, \
+         {} stale policy entries)",
         outcome.files_scanned,
         outcome.manifests_scanned,
         outcome.total_findings,
@@ -141,6 +143,7 @@ fn main() -> ExitCode {
         outcome.applied.unsuppressed.len(),
         outcome.applied.expired.len(),
         outcome.applied.dangling.len(),
+        outcome.stale_policy.len(),
     );
 
     if outcome.is_clean() {

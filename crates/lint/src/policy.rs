@@ -15,10 +15,10 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LockClassDecl {
     /// Human-readable class name used in diagnostics and the global
-    /// lock-order graph (e.g. `shard-state`).
+    /// lock-order graph (e.g. `plan-cache`).
     pub name: String,
     /// Path prefix scoping the declaration (e.g.
-    /// `crates/serve/src/cache.rs`): the same receiver ident in another
+    /// `crates/core/src/plan_cache.rs`): the same receiver ident in another
     /// file is a different lock.
     pub path: String,
     /// The receiver identifier immediately before `.lock()` /
@@ -147,6 +147,48 @@ impl Policy {
             return Err("lint.toml: [oracle] private_modules must be non-empty".to_string());
         }
         Ok(p)
+    }
+
+    /// Every path-valued entry as `(section.key, path prefix)`, section by
+    /// section, for the stale-entry self-check. `[workspace] exclude` is
+    /// left out: the walker never loads the files it excludes.
+    pub fn path_entries(&self) -> Vec<(&'static str, &str)> {
+        let lists: [(&'static str, &[String]); 6] = [
+            ("oracle.exempt_paths", &self.oracle_exempt_paths),
+            ("determinism.clock_paths", &self.determinism_clock_paths),
+            ("determinism.output_paths", &self.determinism_output_paths),
+            ("panic.deny_crates", &self.panic_deny_crates),
+            ("panic.hot_paths", &self.panic_hot_paths),
+            ("concurrency.paths", &self.conc_paths),
+        ];
+        let mut out: Vec<(&'static str, &str)> = lists
+            .into_iter()
+            .flat_map(|(key, paths)| paths.iter().map(move |p| (key, p.as_str())))
+            .collect();
+        out.extend(
+            self.conc_lock_classes
+                .iter()
+                .map(|c| ("concurrency.lock_classes", c.path.as_str())),
+        );
+        out.extend(
+            self.conc_blocking_allow
+                .iter()
+                .map(|(p, _)| ("concurrency.blocking_allow", p.as_str())),
+        );
+        out.extend(
+            self.conc_condvar_pairs
+                .iter()
+                .map(|c| ("concurrency.condvar_pairs", c.path.as_str())),
+        );
+        out.extend(
+            self.conc_condvar_allow
+                .iter()
+                .map(|(p, _)| ("concurrency.condvar_allow", p.as_str())),
+        );
+        if !self.conc_helper_file.is_empty() {
+            out.push(("concurrency.helper_file", &self.conc_helper_file));
+        }
+        out
     }
 }
 
@@ -347,10 +389,10 @@ output_paths = ["crates/core/src/",]
             "[oracle]\noracle_crate = \"g\"\nprivate_modules = [\"m\"]\n",
             "[concurrency]\n",
             "paths = [\"crates/serve/src/\"]\n",
-            "lock_classes = [\"shard-state crates/serve/src/cache.rs state\"]\n",
+            "lock_classes = [\"plan-cache crates/core/src/plan_cache.rs state\"]\n",
             "blocking_calls = [\"join\", \"sleep\"]\n",
-            "condvar_pairs = [\"crates/serve/src/cache.rs state compiled\"]\n",
-            "condvar_allow = [\"crates/serve/src/cache.rs clear\"]\n",
+            "condvar_pairs = [\"crates/core/src/plan_cache.rs state compiled\"]\n",
+            "condvar_allow = [\"crates/core/src/plan_cache.rs clear\"]\n",
             "helper_file = \"crates/scheduler/src/sync.rs\"\n",
         );
         let p = Policy::parse(src).unwrap();
@@ -358,8 +400,8 @@ output_paths = ["crates/core/src/",]
         assert_eq!(
             p.conc_lock_classes,
             vec![LockClassDecl {
-                name: "shard-state".into(),
-                path: "crates/serve/src/cache.rs".into(),
+                name: "plan-cache".into(),
+                path: "crates/core/src/plan_cache.rs".into(),
                 receiver: "state".into(),
             }]
         );
@@ -367,14 +409,17 @@ output_paths = ["crates/core/src/",]
         assert_eq!(
             p.conc_condvar_pairs,
             vec![CondvarPairDecl {
-                path: "crates/serve/src/cache.rs".into(),
+                path: "crates/core/src/plan_cache.rs".into(),
                 mutex_receiver: "state".into(),
                 condvar: "compiled".into(),
             }]
         );
         assert_eq!(
             p.conc_condvar_allow,
-            vec![("crates/serve/src/cache.rs".to_string(), "clear".to_string())]
+            vec![(
+                "crates/core/src/plan_cache.rs".to_string(),
+                "clear".to_string()
+            )]
         );
         assert_eq!(p.conc_helper_file, "crates/scheduler/src/sync.rs");
     }

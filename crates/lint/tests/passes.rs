@@ -287,7 +287,7 @@ fn blocking_clean_fixture_has_no_findings() {
 #[test]
 fn condvar_bad_fixture_flags_bare_wait_and_silent_mutation() {
     let src = include_str!("fixtures/condvar_bad.rs");
-    let ctx = ctx_with(vec![("crates/serve/src/cache.rs", src)]);
+    let ctx = ctx_with(vec![("crates/core/src/plan_cache.rs", src)]);
     let f = run_pass("condvar-discipline", &ctx);
     assert_eq!(f.len(), 2, "{f:#?}");
     assert!(
@@ -305,7 +305,7 @@ fn condvar_bad_fixture_flags_bare_wait_and_silent_mutation() {
 #[test]
 fn condvar_clean_fixture_has_no_findings() {
     let src = include_str!("fixtures/condvar_clean.rs");
-    let ctx = ctx_with(vec![("crates/serve/src/cache.rs", src)]);
+    let ctx = ctx_with(vec![("crates/core/src/plan_cache.rs", src)]);
     let f = run_pass("condvar-discipline", &ctx);
     assert!(f.is_empty(), "clean twin flagged: {f:#?}");
 }
@@ -426,6 +426,12 @@ fn live_workspace_is_clean_modulo_baseline() {
         "dangling baseline entries:\n{}",
         outcome.applied.dangling.join("\n")
     );
+    // Policy hygiene: every path entry in lint.toml covers a real file.
+    assert!(
+        outcome.stale_policy.is_empty(),
+        "stale policy entries:\n{}",
+        outcome.stale_policy.join("\n")
+    );
 }
 
 #[test]
@@ -446,5 +452,35 @@ fn baseline_entry_for_missing_file_fails_the_run() {
         outcome.applied.dangling[0].contains("crates/core/src/deleted.rs"),
         "{}",
         outcome.applied.dangling[0]
+    );
+}
+
+#[test]
+fn policy_entry_for_missing_file_fails_the_run() {
+    let policy = Policy::parse(include_str!("fixtures/policy_stale.toml")).expect("fixture parses");
+    let files = [
+        "crates/core/src/plan_cache.rs",
+        "crates/scheduler/src/sync.rs",
+    ]
+    .into_iter()
+    .map(|path| SourceFile::from_source(path, "pub fn f() {}\n"))
+    .collect();
+    let ctx = Context::from_parts(policy, files, vec![]);
+    let outcome = dnnperf_lint::lint_context(&ctx, &Baseline::default(), &today_iso());
+    assert!(
+        !outcome.is_clean(),
+        "a stale policy entry must fail the run"
+    );
+    assert_eq!(outcome.stale_policy.len(), 2, "{:#?}", outcome.stale_policy);
+    assert!(
+        outcome.stale_policy[0].contains("[panic.hot_paths]")
+            && outcome.stale_policy[0].contains("`crates/serve/src/cache.rs`"),
+        "{}",
+        outcome.stale_policy[0]
+    );
+    assert!(
+        outcome.stale_policy[1].contains("[concurrency.lock_classes]"),
+        "{}",
+        outcome.stale_policy[1]
     );
 }

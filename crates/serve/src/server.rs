@@ -14,13 +14,15 @@
 //!
 //! # Request path
 //!
-//! A request resolves its tenant and network, passes the deadline
-//! early-shed, and draws an admission sequence number. Then:
+//! A request resolves its tenant and network, is shed if its deadline
+//! is zero, and draws an admission sequence number. Then:
 //!
 //! * **Resident hit → inline.** If the plan is already in the cache, the
 //!   submitting thread (the TCP connection thread, or an in-process
 //!   caller) runs the sweep itself and gets back a [`Pending`] that is
 //!   already answered: no queue slot, no condvar, no worker wake-up.
+//!   An inline answer never waits in the queue, so the queue-wait
+//!   deadline shed below does not apply to it.
 //! * **Miss → pool.** Otherwise the request is queued for the worker
 //!   pool, which compiles (deduplicated per key), prices, and answers
 //!   it under the failure model below.
@@ -44,10 +46,10 @@
 //! Every submitted request receives **exactly one terminal answer**, no
 //! matter what fails:
 //!
-//! * **Deadlines.** A request may carry a time budget. A zero budget —
-//!   or a budget smaller than the estimated queue wait (EWMA of service
-//!   time × queue depth ÷ workers) — is shed at submission with
-//!   [`ServeError::DeadlineExceeded`]. Admitted requests that expire
+//! * **Deadlines.** A request may carry a time budget. A zero budget is
+//!   shed at submission with [`ServeError::DeadlineExceeded`], and so is
+//!   a miss whose budget is smaller than the estimated queue wait (EWMA
+//!   of service time × queue depth ÷ workers). Admitted requests that expire
 //!   while queued are answered the same way: workers check expiry before
 //!   pricing, and a producer that finds the queue full first sweeps
 //!   expired entries out (answering their waiters) before shedding
@@ -67,11 +69,13 @@
 //!   is closed, resident hits are refused with
 //!   [`ServeError::ShuttingDown`] too.
 
-use crate::cache::{CacheConfig, CacheStats, PlanKey, SharedPlanCache};
 use crate::fault::{InjectedWorkerPanic, PanicPlan};
 use crate::protocol::Response;
 use dnnperf_core::plan::network_fingerprint;
-use dnnperf_core::{CompiledPlan, GracefulPrediction, PredictError, Workflow};
+use dnnperf_core::{
+    CacheConfig, CacheStats, CompiledPlan, GracefulPrediction, PlanKey, PredictError,
+    SharedPlanCache, Workflow,
+};
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, read_unpoisoned, wait_unpoisoned, write_unpoisoned};
 use dnnperf_sched::{Bounded, Clock, SendRejected, SystemClock};
@@ -233,8 +237,8 @@ struct Job {
     mode: Mode,
     slot: Arc<Slot>,
     /// Admission sequence number, drawn by every request that passes the
-    /// deadline shed — inline hits included — so with nothing shed it is
-    /// the value of the `admitted` counter at submission. Drives
+    /// zero-deadline shed — inline hits included — so with nothing shed it
+    /// is the value of the `admitted` counter at submission. Drives
     /// deterministic panic injection in chaos runs.
     seq: u64,
     /// Absolute expiry instant on the server clock, if the request
@@ -295,8 +299,9 @@ pub struct ServerStats {
     pub inline: u64,
     /// Requests shed by admission control (queue full).
     pub shed: u64,
-    /// Requests shed at submission because their deadline was zero or
-    /// below the estimated queue wait.
+    /// Requests shed at submission because their deadline was zero or,
+    /// for a request whose plan was not resident, below the estimated
+    /// queue wait.
     pub shed_deadline: u64,
     /// Admitted requests whose deadline expired before service (swept
     /// from the queue or caught by a worker pre-pricing).
@@ -639,18 +644,23 @@ impl PredictionServer {
     ) -> Result<Pending, ServeError> {
         let (suite, net, key) = self.resolve(tenant, network, batch)?;
         let budget = deadline_ms.map(Duration::from_millis);
-        if let Some(budget) = budget {
-            // Early shed: don't admit work we already expect to expire.
-            if budget.is_zero() || self.inner.estimated_wait() > budget {
-                self.inner.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded);
-            }
+        // A zero budget cannot be met even inline: shed it before it
+        // draws a sequence number.
+        if budget.is_some_and(|b| b.is_zero()) {
+            self.inner.shed_deadline.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::DeadlineExceeded);
         }
         let seq = self.inner.seq_counter.fetch_add(1, Ordering::Relaxed);
         if let Some(reply) = self.inner.serve_inline(key, mode, seq) {
             return Ok(Pending {
                 answer: Answer::Ready(Ok(reply)),
             });
+        }
+        // A miss will queue: don't admit work we already expect to expire
+        // there.
+        if budget.is_some_and(|b| self.inner.estimated_wait() > b) {
+            self.inner.shed_deadline.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::DeadlineExceeded);
         }
         let slot = Arc::new(Slot {
             result: Mutex::new(None),
@@ -710,8 +720,8 @@ impl PredictionServer {
     /// # Errors
     ///
     /// As for [`PredictionServer::submit`], plus
-    /// [`ServeError::DeadlineExceeded`] when the budget is zero or below
-    /// the estimated queue wait.
+    /// [`ServeError::DeadlineExceeded`] when the budget is zero or, for a
+    /// plan that is not resident, below the estimated queue wait.
     pub fn submit_deadline(
         &self,
         tenant: &str,

@@ -6,7 +6,7 @@ use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Network};
 use dnnperf_gpu::GpuSpec;
-use dnnperf_sched::{RecordingClock, RetryPolicy};
+use dnnperf_sched::{Clock, RecordingClock, RetryPolicy};
 use dnnperf_serve::{
     read_frame, write_frame, CacheConfig, Client, FaultyTransport, PanicPlan, PredictionServer,
     Request, Response, ServeError, ServerConfig, TcpConfig, TcpServer, TransportFaultKinds,
@@ -15,7 +15,7 @@ use dnnperf_serve::{
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn small_nets() -> Vec<Network> {
@@ -97,6 +97,115 @@ fn expired_queue_entries_are_swept_before_shedding_fresh_work() {
 
     server.shutdown();
     assert_eq!(p3.wait().unwrap_err(), ServeError::ShuttingDown);
+}
+
+/// Fake time for the queue-wait shed: a [`RecordingClock`] that advances
+/// by `step` on every read, so each pool service measures exactly one
+/// step, plus a gate that parks worker threads inside `now()` while it
+/// is closed, so the test can pile up a backlog that nothing drains.
+struct SteppedGateClock {
+    fake: RecordingClock,
+    step: Duration,
+    test_thread: std::thread::ThreadId,
+    /// `(closed, workers parked)`.
+    gate: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl SteppedGateClock {
+    fn new(step: Duration) -> Self {
+        SteppedGateClock {
+            fake: RecordingClock::new(),
+            step,
+            test_thread: std::thread::current().id(),
+            gate: Mutex::new((false, 0)),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn close(&self) {
+        self.gate.lock().unwrap().0 = true;
+    }
+
+    /// Returns once `workers` threads are parked at the closed gate.
+    fn wait_parked(&self, workers: usize) {
+        let mut g = self.gate.lock().unwrap();
+        while g.1 < workers {
+            g = self.changed.wait(g).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.gate.lock().unwrap().0 = false;
+        self.changed.notify_all();
+    }
+}
+
+impl Clock for SteppedGateClock {
+    fn sleep(&self, d: Duration) {
+        self.fake.sleep(d);
+    }
+
+    fn now(&self) -> Duration {
+        if std::thread::current().id() != self.test_thread {
+            let mut g = self.gate.lock().unwrap();
+            if g.0 {
+                g.1 += 1;
+                self.changed.notify_all();
+                while g.0 {
+                    g = self.changed.wait(g).unwrap();
+                }
+                g.1 -= 1;
+            }
+        }
+        self.fake.advance(self.step);
+        self.fake.now()
+    }
+}
+
+#[test]
+fn queue_wait_shed_spares_resident_hits_and_sheds_misses() {
+    let clock = Arc::new(SteppedGateClock::new(Duration::from_millis(10)));
+    let server = PredictionServer::start_with_clock(&config(1, 16), Arc::clone(&clock) as _);
+    server.register_tenant("t", train_suite());
+    server.add_networks(small_nets());
+    let net = small_nets().remove(0);
+
+    // One pool service warms (net, 1) and sets the service-time EWMA to
+    // exactly one clock step.
+    let warm = server.predict("t", net.name(), 1).unwrap();
+
+    // Park the only worker on a cold request, then queue three more
+    // behind it: the estimated wait is now 3 x 10 ms = 30 ms.
+    clock.close();
+    let parked = server.submit("t", net.name(), 2).unwrap();
+    clock.wait_parked(1);
+    let backlog: Vec<_> = [3, 4, 5]
+        .iter()
+        .map(|&b| server.submit("t", net.name(), b).unwrap())
+        .collect();
+
+    // A 5 ms budget is below the estimated wait, but a resident plan is
+    // answered inline and never waits in the queue; the same budget on a
+    // cold key would queue behind the backlog, so it is shed. The gate
+    // opens before any assertion so a failure cannot hang shutdown.
+    let hit = server.submit_deadline("t", net.name(), 1, 5);
+    let cold = server.submit_deadline("t", net.name(), 6, 5);
+    let s = server.stats();
+    clock.open();
+
+    assert_eq!(
+        hit.unwrap().wait().unwrap().seconds().to_bits(),
+        warm.to_bits()
+    );
+    assert_eq!(cold.unwrap_err(), ServeError::DeadlineExceeded);
+    assert_eq!(s.shed_deadline, 1);
+    assert_eq!(s.inline, 1);
+    assert!(parked.wait().is_ok());
+    for p in backlog {
+        assert!(p.wait().is_ok());
+    }
+    server.shutdown();
 }
 
 #[test]
