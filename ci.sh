@@ -71,8 +71,9 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/
 echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # Re-measures the serving/training hot paths with reduced iteration counts
 # and gates on machine-relative figures: warm-predict ns/kernel may not
-# regress more than 2x vs the committed baseline, and the compiled-plan
-# sweep must stay at least 5x faster than the uncompiled legacy path.
+# regress more than 2x vs the committed baseline, and the warm sweep (one
+# plan-cache lookup per request) must stay at least 5x faster than the
+# uncompiled legacy path.
 # Release build: the baseline was captured in release, and the tier-1 step
 # above has already built it.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check BENCH_5.json

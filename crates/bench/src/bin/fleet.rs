@@ -298,7 +298,7 @@ fn main() {
     let flags = parse_flags();
     dnnperf_bench::banner(
         "FLEET",
-        "capacity-planning sweep over compiled-plan predictions",
+        "capacity-planning sweep over cached plan predictions",
     );
 
     let profile = if flags.smoke { "smoke" } else { "full" };

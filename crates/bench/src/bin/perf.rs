@@ -1,14 +1,15 @@
 //! PERF: hot-path microbenchmarks with a regression gate.
 //!
-//! Measures the four stages the compiled-plan work optimises — full-grid
-//! dataset collection, model training (serial vs pooled), plan
+//! Measures the four stages of the serving and training hot paths —
+//! full-grid dataset collection, model training (serial vs pooled), plan
 //! compilation, and cold/warm/legacy prediction sweeps — with the in-tree
 //! timer (untimed warmup, median-of-k summaries). Three derived figures
 //! anchor the regression gate:
 //!
 //! * **warm-predict ns/kernel** — the serving hot path: median sweep time
-//!   divided by the number of compiled kernel terms in the sweep;
-//! * **warm-vs-legacy speedup** — compiled sweep vs the uncompiled
+//!   (one plan-cache lookup per request) divided by the number of kernel
+//!   terms the cached answers priced;
+//! * **warm-vs-legacy speedup** — warm sweep vs the uncompiled
 //!   `KwModel::predict_network` on identical requests (machine-relative,
 //!   so the gate travels across hardware);
 //! * **train speedup at 8 threads** — pooled vs serial KW training. The
@@ -453,7 +454,7 @@ fn main() {
     }
     dnnperf_bench::banner(
         "PERF",
-        "compiled-plan serving and pooled-training microbenchmarks",
+        "cached-answer serving and pooled-training microbenchmarks",
     );
 
     let report = run(flags.smoke);

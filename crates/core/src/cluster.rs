@@ -31,7 +31,7 @@ impl Clustering {
     /// The model used for a kernel symbol.
     pub fn model_for(&self, kernel: &str) -> Option<(Driver, &Fit)> {
         let id = *self.assignment.get(kernel)?;
-        let (d, f) = &self.models[id];
+        let (d, f) = self.models.get(id)?;
         Some((*d, f))
     }
 

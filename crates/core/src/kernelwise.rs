@@ -327,11 +327,17 @@ impl KwModel {
     /// Predicts the time of a single layer at `batch` and reports how much
     /// of the layer's kernel work was actually priced.
     pub fn predict_layer_coverage(&self, layer: &Layer, batch: usize) -> LayerCoverage {
+        self.price_layer(layer, batch).0
+    }
+
+    /// [`KwModel::predict_layer_coverage`] plus the number of kernel terms
+    /// it priced (mapped kernels that have a cluster regression).
+    pub(crate) fn price_layer(&self, layer: &Layer, batch: usize) -> (LayerCoverage, usize) {
         let Some(kernels) = self.map.kernels_for(layer) else {
             // Layer type never recorded: either it launches no kernels
             // (flatten) or it is genuinely outside the training set. The
             // caller decides which via [`LayerCoverage::Unmapped`].
-            return LayerCoverage::Unmapped;
+            return (LayerCoverage::Unmapped, 0);
         };
         let n = batch as f64;
         let drivers = [
@@ -349,10 +355,11 @@ impl KwModel {
                 None => missing.push(k.clone()),
             }
         }
+        let terms = kernels.len() - missing.len();
         if missing.is_empty() {
-            LayerCoverage::Full(seconds)
+            (LayerCoverage::Full(seconds), terms)
         } else {
-            LayerCoverage::Partial { seconds, missing }
+            (LayerCoverage::Partial { seconds, missing }, terms)
         }
     }
 }

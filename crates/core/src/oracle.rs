@@ -1,6 +1,6 @@
-//! Plan lookup as a simulation oracle: compiled-plan predictions (with
-//! the graceful-degradation ladder's notes) plus an inter-GPU fallback,
-//! behind one lookup surface an event-driven simulator can consume.
+//! Plan lookup as a simulation oracle: cached ladder answers (with the
+//! graceful-degradation notes) plus an inter-GPU fallback, behind one
+//! lookup surface an event-driven simulator can consume.
 //!
 //! The paper's pitch is that a fast analytical predictor can *drive
 //! decisions*, not just produce point estimates. The fleet simulator in
@@ -8,8 +8,8 @@
 //! service time for "network `n` at batch `b` on GPU `g`". This module
 //! packages that as [`PredictionOracle`]:
 //!
-//! * GPUs with a trained [`Workflow`] are priced through the compiled
-//!   plan ([`CompiledPlan::predict_graceful`]) — bit-identical to
+//! * GPUs with a trained [`Workflow`] are priced by the cached plan
+//!   entry ([`CompiledPlan::predict_graceful`]) — bit-identical to
 //!   [`Workflow::predict_graceful`], [`Degradation`] notes included, so
 //!   the simulator can annotate results whose service times leaned on a
 //!   coarser model;

@@ -1,129 +1,51 @@
-//! Compiled prediction plans: the serving hot path.
+//! Plan-cache entries: the answer to one `(network, batch)` request.
 //!
-//! Predicting one network with the kernel-wise model walks several layers of
-//! indirection per request: every layer is hashed into the layer-to-kernel
-//! mapping table (an ordered-map probe plus a nearest-signature search),
-//! every mapped kernel symbol is looked up in the cluster assignment, and
-//! every cluster id is dereferenced into its regression. None of that work
-//! depends on anything but the `(network, batch)` pair and the trained
-//! models — so a sweep that predicts the same network repeatedly (batch
-//! scans, what-if studies, serving) repays it on every single call.
+//! The kernel-wise prediction of a network depends on nothing but the
+//! request and the trained models, so for a cache key
+//! `(suite generation, network fingerprint, batch)` it never changes.
+//! [`CompiledPlan::compile`] therefore walks the trained models once —
+//! the graceful-degradation ladder of [`crate::degrade`], which prices
+//! every layer through [`crate::KwModel::predict_layer_coverage`] — and
+//! keeps what that walk found:
 //!
-//! [`CompiledPlan::compile`] runs the resolution **once** and lowers the
-//! result into a flat structure-of-arrays form:
+//! * the strict KW seconds, bit-identical to
+//!   [`crate::KwModel::predict_network`];
+//! * the [`GracefulPrediction`], bit-identical to
+//!   [`Workflow::predict_graceful_uncompiled`], notes included;
+//! * the number of priced kernel terms.
 //!
-//! * one dense model table (`slopes[id]`, `intercepts[id]`, one entry per
-//!   cluster regression);
-//! * one `f64` driver feature per priced kernel term, already scaled by the
-//!   batch size (input elements, layer FLOPs or output elements, per the
-//!   kernel's classified driver);
-//! * one `u32` model index per term;
-//! * one compact [`LayerPlan`] per layer recording its term range and how
-//!   the graceful-degradation ladder resolved it.
-//!
-//! [`CompiledPlan::predict`] is then a single sweep over contiguous arrays
-//! — multiply, add, clamp, accumulate — with no map probes, no string
-//! comparisons and no allocation. The sweep reproduces the legacy
-//! [`crate::KwModel::predict_network`] arithmetic *bit for bit*: terms are
-//! evaluated as `slope * x + intercept` (no fused multiply-add), clamped at
-//! zero per kernel, summed per layer and then across layers in exactly the
-//! order the uncompiled path uses. [`CompiledPlan::predict_graceful`]
-//! replays the [`crate::degrade`] ladder the same way.
+//! [`CompiledPlan::predict`] and [`CompiledPlan::predict_graceful`] read
+//! those fields back, so one entry answers both modes and a miss costs
+//! one walk.
 //!
 //! [`Workflow::predict`](crate::Workflow::predict) and
 //! [`Workflow::predict_graceful`](crate::Workflow::predict_graceful) route
-//! through the suite's [`SharedPlanCache`](crate::SharedPlanCache), so
-//! repeated predictions never re-dispatch. Plans are built only from the
-//! public model surfaces (the mapping table, the clustering, the fitted
-//! lines) — never from simulator internals.
+//! through the suite's [`SharedPlanCache`](crate::SharedPlanCache).
+//! Entries are built only from the public model surfaces (the mapping
+//! table, the clustering, the fitted lines) — never from simulator
+//! internals.
 
-use crate::classify::Driver;
 use crate::degrade::{Degradation, GracefulPrediction};
 use crate::error::PredictError;
-use crate::model::Predictor;
 use crate::workflow::Workflow;
-use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Network;
+use std::mem::size_of;
 use std::sync::Arc;
 
-/// How the graceful-degradation ladder resolved one layer at compile time.
-#[derive(Debug, Clone, PartialEq)]
-enum Resolve {
-    /// Full kernel-wise coverage: the layer's time is the sum of its
-    /// compiled kernel terms, no note.
-    Kw,
-    /// Some mapped kernels lack cluster models and the LW model has a
-    /// dedicated fit for this layer type: the fit re-prices the whole
-    /// layer (noted).
-    PartialLw {
-        /// LW fit slope for the layer type.
-        slope: f64,
-        /// LW fit intercept for the layer type.
-        intercept: f64,
-        /// Kernel symbols without cluster models.
-        missing: Vec<Arc<str>>,
-    },
-    /// Some mapped kernels lack cluster models and no LW fit exists: keep
-    /// the priced subtotal, floored by the E2E slope (noted).
-    PartialFloor {
-        /// Kernel symbols without cluster models.
-        missing: Vec<Arc<str>>,
-    },
-    /// The layer is unmapped but the LW model knows its type (noted when
-    /// the fallback contributes time).
-    LwFallback {
-        /// LW fit slope for the layer type.
-        slope: f64,
-        /// LW fit intercept for the layer type.
-        intercept: f64,
-    },
-    /// Nothing layer-specific is known: the E2E seconds-per-FLOP slope
-    /// prices the layer's FLOPs (noted when it contributes time).
-    E2eFallback,
-}
-
-/// One layer of a compiled plan: a term range plus the ladder resolution.
-#[derive(Debug, Clone, PartialEq)]
-struct LayerPlan {
-    /// First term index (into `features` / `model_of`).
-    start: u32,
-    /// One past the last term index.
-    end: u32,
-    /// Layer FLOPs scaled by the batch size.
-    flops: f64,
-    /// Layer type tag (for degradation notes).
-    tag: Arc<str>,
-    /// Graceful-degradation resolution.
-    resolve: Resolve,
-}
-
-/// A prediction plan compiled for one `(network, batch)` request against a
-/// trained [`Workflow`]. See the module docs for the layout.
+/// The cached answer for one `(network, batch)` request against a trained
+/// [`Workflow`]. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
-    gpu: String,
-    network: String,
-    batch: usize,
-    fingerprint: u64,
     suite_generation: u64,
-    /// Dense model table: slope per cluster regression.
-    slopes: Vec<f64>,
-    /// Dense model table: intercept per cluster regression.
-    intercepts: Vec<f64>,
-    /// Per-term driver feature, already scaled by the batch size.
-    features: Vec<f64>,
-    /// Per-term index into the model table.
-    model_of: Vec<u32>,
-    layers: Vec<LayerPlan>,
-    /// E2E seconds-per-FLOP slope (last ladder rung).
-    e2e_slope: f64,
+    /// Strict KW seconds (uncovered work priced at zero).
+    strict: f64,
+    graceful: GracefulPrediction,
+    terms: usize,
 }
 
 impl CompiledPlan {
-    /// Compiles a plan for `net` at `batch` against the suite's trained
-    /// models: one pass of mapping-table lookups, cluster resolution and
-    /// driver-feature extraction, after which [`CompiledPlan::predict`]
-    /// never touches a map again.
+    /// Answers `net` at `batch` against the suite's trained models with one
+    /// walk of the prediction ladder.
     ///
     /// # Errors
     ///
@@ -153,206 +75,26 @@ impl CompiledPlan {
     /// # }
     /// ```
     pub fn compile(suite: &Workflow, net: &Network, batch: usize) -> Result<Self, PredictError> {
-        crate::error::validate_request(net, batch)?;
-        let n = batch as f64;
-        let clustering = suite.kw.clustering();
-        let models = clustering.models();
-        let mut slopes = Vec::with_capacity(models.len());
-        let mut intercepts = Vec::with_capacity(models.len());
-        for (_, f) in models {
-            slopes.push(f.line.slope);
-            intercepts.push(f.line.intercept);
-        }
-
-        let mut features = Vec::new();
-        let mut model_of = Vec::new();
-        let mut layers = Vec::with_capacity(net.layers().len());
-        for layer in net.layers() {
-            let tag = layer.type_tag();
-            let in_x = layer.input.elems() as f64 * n;
-            let flops = layer_flops(layer) as f64 * n;
-            let out_x = layer.output.elems() as f64 * n;
-            let start = features.len() as u32;
-            let mut missing: Vec<Arc<str>> = Vec::new();
-            let mapped = suite.kw.mapping().kernels_for(layer);
-            for k in mapped.into_iter().flatten() {
-                // Resolve the kernel's cluster once; an out-of-range id
-                // (impossible for models built in-process, rejected by the
-                // persistence loader) degrades to "missing" rather than
-                // panicking.
-                match clustering
-                    .cluster_of(k)
-                    .and_then(|id| models.get(id).map(|(d, _)| (id, *d)))
-                {
-                    Some((id, driver)) => {
-                        let x = match driver {
-                            Driver::Input => in_x,
-                            Driver::Operation => flops,
-                            Driver::Output => out_x,
-                        };
-                        features.push(x);
-                        model_of.push(id as u32);
-                    }
-                    None => missing.push(k.clone()),
-                }
-            }
-            let end = features.len() as u32;
-            let resolve = match mapped {
-                Some(_) if missing.is_empty() => Resolve::Kw,
-                Some(_) => match suite.lw.fit_for(tag) {
-                    Some(f) => Resolve::PartialLw {
-                        slope: f.line.slope,
-                        intercept: f.line.intercept,
-                        missing,
-                    },
-                    None => Resolve::PartialFloor { missing },
-                },
-                None => match suite.lw.fit_for(tag) {
-                    Some(f) => Resolve::LwFallback {
-                        slope: f.line.slope,
-                        intercept: f.line.intercept,
-                    },
-                    None => Resolve::E2eFallback,
-                },
-            };
-            layers.push(LayerPlan {
-                start,
-                end,
-                flops,
-                tag: Arc::from(tag),
-                resolve,
-            });
-        }
-
+        let walk = suite.walk(net, batch)?;
         Ok(CompiledPlan {
-            gpu: suite.kw.gpu().to_string(),
-            network: net.name().to_string(),
-            batch,
-            fingerprint: network_fingerprint(net),
             suite_generation: suite.generation(),
-            slopes,
-            intercepts,
-            features,
-            model_of,
-            layers,
-            e2e_slope: suite.e2e.slope_seconds_per_flop(),
+            strict: walk.strict,
+            graceful: walk.graceful,
+            terms: walk.terms,
         })
     }
 
-    /// Sum of the layer's compiled kernel terms, in term order: the priced
-    /// kernel-wise subtotal, bit-identical to the uncompiled
-    /// [`crate::KwModel::predict_layer`].
-    fn layer_terms(&self, lp: &LayerPlan) -> f64 {
-        let range = lp.start as usize..lp.end as usize;
-        let feats = self.features.get(range.clone()).unwrap_or(&[]);
-        let ids = self.model_of.get(range).unwrap_or(&[]);
-        let mut s = 0.0;
-        for (x, id) in feats.iter().zip(ids) {
-            let i = *id as usize;
-            let slope = self.slopes.get(i).copied().unwrap_or(0.0);
-            let intercept = self.intercepts.get(i).copied().unwrap_or(0.0);
-            // Deliberately `slope * x + intercept`, not `mul_add`: the
-            // legacy path rounds twice and the plan must match it bit for
-            // bit.
-            s += (slope * x + intercept).max(0.0);
-        }
-        s
-    }
-
-    /// Predicts the end-to-end time in seconds: a fused sweep over the
-    /// flat term arrays, bit-identical to
+    /// The end-to-end time in seconds, bit-identical to
     /// `suite.kw.predict_network(net, batch)` for the request the plan was
     /// compiled for.
     pub fn predict(&self) -> f64 {
-        let mut total = 0.0;
-        for lp in &self.layers {
-            total += self.layer_terms(lp);
-        }
-        total
+        self.strict
     }
 
-    /// Predicts with the graceful-degradation ladder, replaying
-    /// [`Workflow::predict_graceful_uncompiled`] bit for bit: KW where the
-    /// plan has full coverage, the LW layer-type fit or the E2E slope
-    /// where it does not, with one [`Degradation`] note per fallback.
+    /// The graceful-degradation ladder's answer, bit-identical to
+    /// [`Workflow::predict_graceful_uncompiled`], notes included.
     pub fn predict_graceful(&self) -> GracefulPrediction {
-        let mut total = 0.0;
-        let mut notes = Vec::new();
-        for (li, lp) in self.layers.iter().enumerate() {
-            match &lp.resolve {
-                Resolve::Kw => total += self.layer_terms(lp),
-                Resolve::PartialLw {
-                    slope,
-                    intercept,
-                    missing,
-                } => {
-                    let s = (slope * lp.flops + intercept).max(0.0);
-                    total += s;
-                    notes.push(Degradation::UnclusteredKernels {
-                        layer_index: li,
-                        tag: lp.tag.to_string(),
-                        kernels: missing.clone(),
-                        seconds: s,
-                    });
-                }
-                Resolve::PartialFloor { missing } => {
-                    let s = self.layer_terms(lp).max(self.e2e_slope * lp.flops);
-                    total += s;
-                    notes.push(Degradation::UnclusteredKernels {
-                        layer_index: li,
-                        tag: lp.tag.to_string(),
-                        kernels: missing.clone(),
-                        seconds: s,
-                    });
-                }
-                Resolve::LwFallback { slope, intercept } => {
-                    let s = (slope * lp.flops + intercept).max(0.0);
-                    total += s;
-                    if s > 0.0 {
-                        notes.push(Degradation::UnmappedLayer {
-                            layer_index: li,
-                            tag: lp.tag.to_string(),
-                            seconds: s,
-                        });
-                    }
-                }
-                Resolve::E2eFallback => {
-                    let s = (self.e2e_slope * lp.flops).max(0.0);
-                    total += s;
-                    if s > 0.0 {
-                        notes.push(Degradation::UnknownLayerType {
-                            layer_index: li,
-                            tag: lp.tag.to_string(),
-                            seconds: s,
-                        });
-                    }
-                }
-            }
-        }
-        GracefulPrediction {
-            seconds: total,
-            notes,
-        }
-    }
-
-    /// GPU the plan's models were trained on.
-    pub fn gpu(&self) -> &str {
-        &self.gpu
-    }
-
-    /// Network name the plan was compiled for.
-    pub fn network(&self) -> &str {
-        &self.network
-    }
-
-    /// Batch size the plan was compiled for.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Structural fingerprint of the compiled network (cache key part).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.graceful.clone()
     }
 
     /// Generation of the [`Workflow`] the plan was compiled against (cache
@@ -362,48 +104,38 @@ impl CompiledPlan {
         self.suite_generation
     }
 
-    /// Estimated resident size of the plan in bytes (the struct plus its
-    /// heap payload). Memory-budgeted caches use this as the per-entry
-    /// charge; it deliberately counts lengths rather than capacities so
-    /// the figure is deterministic across allocators.
+    /// Estimated resident size of the plan in bytes: the struct plus its
+    /// degradation notes. Memory-budgeted caches use this as the
+    /// per-entry charge; it counts lengths rather than capacities so the
+    /// figure is deterministic across allocators, and it does not grow
+    /// with the network unless the network degrades.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut bytes = size_of::<CompiledPlan>();
-        bytes += self.gpu.len() + self.network.len();
-        bytes += self.slopes.len() * size_of::<f64>();
-        bytes += self.intercepts.len() * size_of::<f64>();
-        bytes += self.features.len() * size_of::<f64>();
-        bytes += self.model_of.len() * size_of::<u32>();
-        bytes += self.layers.len() * size_of::<LayerPlan>();
-        for lp in &self.layers {
-            bytes += lp.tag.len();
-            let missing = match &lp.resolve {
-                Resolve::PartialLw { missing, .. } | Resolve::PartialFloor { missing } => {
-                    missing.as_slice()
-                }
-                _ => &[],
-            };
-            bytes += missing
-                .iter()
-                .map(|k| std::mem::size_of::<Arc<str>>() + k.len())
-                .sum::<usize>();
-        }
-        bytes
+        let notes: usize = self
+            .graceful
+            .notes
+            .iter()
+            .map(|note| {
+                size_of::<Degradation>()
+                    + match note {
+                        Degradation::UnmappedLayer { tag, .. }
+                        | Degradation::UnknownLayerType { tag, .. } => tag.len(),
+                        Degradation::UnclusteredKernels { tag, kernels, .. } => {
+                            tag.len()
+                                + kernels
+                                    .iter()
+                                    .map(|k| size_of::<Arc<str>>() + k.len())
+                                    .sum::<usize>()
+                        }
+                    }
+            })
+            .sum();
+        size_of::<CompiledPlan>() + notes
     }
 
-    /// Number of priced kernel terms in the plan (the per-predict work).
+    /// Number of kernel terms the walk priced (mapped kernels with a
+    /// cluster regression).
     pub fn num_terms(&self) -> usize {
-        self.features.len()
-    }
-
-    /// Number of layers in the plan.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Number of entries in the dense model table.
-    pub fn num_models(&self) -> usize {
-        self.slopes.len()
+        self.terms
     }
 }
 
@@ -549,6 +281,7 @@ pub fn network_fingerprint(net: &Network) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Predictor;
     use dnnperf_data::collect::collect;
     use dnnperf_gpu::GpuSpec;
 
@@ -583,24 +316,6 @@ mod tests {
                 assert!(plan.num_terms() > 0);
             }
         }
-    }
-
-    #[test]
-    fn compiled_graceful_is_bit_identical_to_uncompiled() {
-        // Train on VGG only so ResNet probes exercise every ladder rung.
-        let train = [
-            dnnperf_dnn::zoo::vgg::vgg11(),
-            dnnperf_dnn::zoo::vgg::vgg13(),
-        ];
-        let ds = collect(&train, &[GpuSpec::by_name("A100").unwrap()], &[32]);
-        let suite = Workflow::train(&ds, "A100").unwrap();
-        let probe = dnnperf_dnn::zoo::resnet::resnet18();
-        let plan = CompiledPlan::compile(&suite, &probe, 32).unwrap();
-        let fast = plan.predict_graceful();
-        let slow = suite.predict_graceful_uncompiled(&probe, 32).unwrap();
-        assert_eq!(fast.seconds.to_bits(), slow.seconds.to_bits());
-        assert_eq!(fast.notes, slow.notes);
-        assert!(fast.is_degraded());
     }
 
     #[test]
@@ -836,15 +551,54 @@ mod tests {
 
     #[test]
     fn cache_compiles_once_and_clears() {
-        let suite = suite();
+        let suite = Arc::new(suite());
         let net = dnnperf_dnn::zoo::resnet::resnet50();
+        // One entry answers the strict mode, the graceful mode and the
+        // oracle: the first call walks the models, the rest read it.
+        let strict = suite.predict(&net, 32).unwrap();
+        let graceful = suite.predict_graceful(&net, 32).unwrap();
+        let mut oracle = crate::PredictionOracle::new();
+        oracle.add_suite(Arc::clone(&suite));
+        let priced = oracle
+            .predict(&GpuSpec::by_name("A100").unwrap(), &net, 32)
+            .unwrap();
+        assert_eq!(suite.plans.stats().compiles, 1);
+        assert_eq!(strict, suite.kw.predict_network(&net, 32).unwrap());
+        assert_eq!(priced.seconds.to_bits(), graceful.seconds.to_bits());
+
         let p1 = suite.plan(&net, 32).unwrap();
         let p2 = suite.plan(&net, 32).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(suite.cached_plans(), 1);
+        assert_eq!(suite.plans.stats().compiles, 1);
         suite.plan(&net, 64).unwrap();
         assert_eq!(suite.cached_plans(), 2);
         suite.invalidate_plans();
         assert_eq!(suite.cached_plans(), 0);
+    }
+
+    #[test]
+    fn entry_size_does_not_grow_with_the_network() {
+        let suite = suite();
+        let small = dnnperf_dnn::zoo::resnet::resnet18();
+        let large = dnnperf_dnn::zoo::resnet::resnet152();
+        assert!(large.layers().len() > 4 * small.layers().len());
+        let a = CompiledPlan::compile(&suite, &small, 32).unwrap();
+        let b = CompiledPlan::compile(&suite, &large, 32).unwrap();
+        assert!(!a.predict_graceful().is_degraded());
+        assert!(!b.predict_graceful().is_degraded());
+        assert!(b.num_terms() > a.num_terms());
+        assert_eq!(a.approx_bytes(), b.approx_bytes());
+
+        // A degraded entry is charged for its notes.
+        let train = [
+            dnnperf_dnn::zoo::vgg::vgg11(),
+            dnnperf_dnn::zoo::vgg::vgg13(),
+        ];
+        let ds = collect(&train, &[GpuSpec::by_name("A100").unwrap()], &[32]);
+        let vgg_only = Workflow::train(&ds, "A100").unwrap();
+        let degraded = CompiledPlan::compile(&vgg_only, &small, 32).unwrap();
+        assert!(degraded.predict_graceful().is_degraded());
+        assert!(degraded.approx_bytes() > a.approx_bytes());
     }
 }

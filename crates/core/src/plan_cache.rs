@@ -1,9 +1,10 @@
-//! The compiled-plan cache: one sharded, memory-budgeted cache type
-//! behind every [`Workflow`]'s own plan lookups and behind the
-//! prediction server's shared resident set.
+//! The plan cache: one sharded, memory-budgeted cache type behind every
+//! [`Workflow`]'s own plan lookups and behind the prediction server's
+//! shared resident set.
 //!
-//! [`SharedPlanCache`] holds immutable [`Arc<CompiledPlan>`] values in
-//! `N` independently locked shards, keyed by
+//! [`SharedPlanCache`] holds immutable [`Arc<CompiledPlan>`] values — each
+//! the stored answer of one request, strict and graceful — in `N`
+//! independently locked shards, keyed by
 //! `(suite generation, network fingerprint, batch)`:
 //!
 //! * the **suite generation** ([`Workflow::generation`]) is minted fresh
@@ -16,13 +17,14 @@
 //!
 //! Each shard runs LRU eviction under a per-shard slice of the
 //! configured memory budget, charging each entry
-//! [`CompiledPlan::approx_bytes`]; the measured size never exceeds the
-//! budget (a plan larger than a whole shard's slice is served uncached
-//! rather than admitted). Misses compile *outside* the shard lock, with
-//! an in-flight set + condvar so concurrent requests for the same key
-//! wait for the one compiling thread instead of duplicating its work —
-//! lookups stay wait-free of compilation, and each key compiles at most
-//! once per residency.
+//! [`CompiledPlan::approx_bytes`] (a fixed size, plus the notes of a
+//! degraded answer); the measured size never exceeds the budget (an
+//! entry larger than a whole shard's slice is served uncached rather
+//! than admitted). A miss compiles — walks the trained models once —
+//! *outside* the shard lock, with an in-flight set + condvar so
+//! concurrent requests for the same key wait for the one compiling
+//! thread instead of duplicating its work — lookups stay wait-free of
+//! compilation, and each key compiles at most once per residency.
 //!
 //! Cloning a cache snapshots every shard's entries and LRU order (the
 //! `Arc`s are shared, nothing recompiles) into an independent cache with
@@ -491,8 +493,8 @@ mod tests {
     fn clone_shares_plans_but_evicts_purges_and_counts_independently() {
         let suite = suite();
         let net = dnnperf_dnn::zoo::resnet::resnet50();
-        // A plan's size does not depend on its batch, so a one-shard
-        // cache budgeted for exactly two plans evicts on the third.
+        // The three entries have the same size, so a one-shard cache
+        // budgeted for exactly two of them evicts on the third.
         let bytes = CompiledPlan::compile(&suite, &net, 1)
             .unwrap()
             .approx_bytes();

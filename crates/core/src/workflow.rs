@@ -78,10 +78,10 @@ pub struct Workflow {
     pub lw: LwModel,
     /// The Kernel-Wise model.
     pub kw: KwModel,
-    /// Compiled-plan cache for the serving hot path, with the default
-    /// [`CacheConfig`] budget. Clones snapshot the entries (plans are
-    /// immutable `Arc`s); see [`Workflow::invalidate_plans`].
-    plans: SharedPlanCache,
+    /// Plan cache of answered requests, with the default [`CacheConfig`]
+    /// budget. Clones snapshot the entries (plans are immutable `Arc`s);
+    /// see [`Workflow::invalidate_plans`].
+    pub(crate) plans: SharedPlanCache,
     /// Suite generation: a process-unique id minted at train time and
     /// re-minted by [`Workflow::invalidate_plans`]. Plan-cache keys carry
     /// it, so a retrained suite can never serve its predecessor's plans.
@@ -196,9 +196,9 @@ impl Workflow {
         })
     }
 
-    /// The compiled plan for `(net, batch)`, from the suite's plan cache
-    /// (compiled on first use). Repeated predictions of the same request
-    /// share one plan and never re-run dispatch or cluster resolution.
+    /// The cached answer for `(net, batch)` from the suite's plan cache.
+    /// The first request for a key walks the trained models once (see
+    /// [`crate::plan`]); repeated requests share that entry.
     ///
     /// # Errors
     ///
@@ -209,9 +209,9 @@ impl Workflow {
     }
 
     /// Predicts `net`'s end-to-end time with the KW model through the
-    /// compiled-plan cache: bit-identical to
-    /// `self.kw.predict_network(net, batch)`, but repeated calls are a
-    /// flat array sweep instead of per-layer mapping and cluster lookups.
+    /// plan cache: bit-identical to `self.kw.predict_network(net, batch)`,
+    /// but a repeated call is a cache lookup instead of a walk over the
+    /// layers.
     ///
     /// # Errors
     ///

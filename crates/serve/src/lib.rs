@@ -1,4 +1,4 @@
-//! Multi-tenant prediction serving over a sharded compiled-plan cache.
+//! Multi-tenant prediction serving over a sharded cache of answers.
 //!
 //! The paper's headline result — microsecond-latency, simulator-accurate
 //! GPU time prediction — only pays off operationally if many consumers
@@ -7,9 +7,10 @@
 //!
 //! * [`SharedPlanCache`] — re-exported from `dnnperf-core`, where it is
 //!   also every `Workflow`'s own plan cache: a lock-striped LRU cache of
-//!   immutable [`dnnperf_core::CompiledPlan`]s under a configurable
-//!   memory budget, keyed by `(suite generation, network fingerprint,
-//!   batch)` so retrains can never serve stale plans;
+//!   immutable [`dnnperf_core::CompiledPlan`] entries — each one request's
+//!   strict and graceful answer — under a configurable memory budget,
+//!   keyed by `(suite generation, network fingerprint, batch)` so
+//!   retrains can never serve stale answers;
 //! * [`server`] — [`server::PredictionServer`], the in-process API:
 //!   tenant registry, resident-plan hits answered on the caller's
 //!   thread, and for misses a bounded admission queue with load

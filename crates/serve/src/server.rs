@@ -19,13 +19,14 @@
 //!
 //! * **Resident hit → inline.** If the plan is already in the cache, the
 //!   submitting thread (the TCP connection thread, or an in-process
-//!   caller) runs the sweep itself and gets back a [`Pending`] that is
-//!   already answered: no queue slot, no condvar, no worker wake-up.
+//!   caller) reads the stored answer itself and gets back a [`Pending`]
+//!   that is already answered: no queue slot, no condvar, no worker
+//!   wake-up.
 //!   An inline answer never waits in the queue, so the queue-wait
 //!   deadline shed below does not apply to it.
 //! * **Miss → pool.** Otherwise the request is queued for the worker
-//!   pool, which compiles (deduplicated per key), prices, and answers
-//!   it under the failure model below.
+//!   pool, which compiles the key's entry (one walk of the models,
+//!   deduplicated per key) and answers it under the failure model below.
 //!
 //! There is deliberately no "only when the queue is empty" condition on
 //! the inline path: a hit costs less than a single hand-off to a
@@ -156,6 +157,7 @@ enum Mode {
 }
 
 impl Mode {
+    /// Reads the entry's stored answer for this mode.
     fn price(self, plan: &CompiledPlan) -> Reply {
         match self {
             Mode::Strict => Reply::Strict(plan.predict()),

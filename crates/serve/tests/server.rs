@@ -308,6 +308,7 @@ fn inline_answers_are_bit_identical_to_worker_answers_and_direct_calls() {
             .wait()
             .unwrap()
     };
+    let compiles = server.stats().cache.compiles;
     let cold = via_worker(&server, submit);
     let warm = via_inline(&server, submit);
     assert_eq!(cold, warm);
@@ -315,6 +316,11 @@ fn inline_answers_are_bit_identical_to_worker_answers_and_direct_calls() {
         warm,
         Reply::Graceful(suite.predict_graceful(&net, 64).unwrap())
     );
+    // A Strict request for the same key reads the same entry: the key
+    // compiled once for both modes.
+    let strict = via_inline(&server, || server.predict("t", net.name(), 64)).unwrap();
+    assert_eq!(strict.to_bits(), suite.predict(&net, 64).unwrap().to_bits());
+    assert_eq!(server.stats().cache.compiles, compiles + 1);
     server.shutdown();
 }
 

@@ -19,14 +19,15 @@
 //! * [`policy`] — pluggable placement ([`PlacementPolicy`]) and batching
 //!   ([`BatchingPolicy`]) behind small traits;
 //! * [`fleet`] — the simulator itself: heterogeneous GPU pools whose
-//!   service times come from `dnnperf_core::PredictionOracle` (compiled
-//!   plans, IGKW fallback for never-profiled GPUs);
+//!   service times come from `dnnperf_core::PredictionOracle` (cached
+//!   ladder answers, IGKW fallback for never-profiled GPUs);
 //! * [`report`] — the [`FleetReport`] output: utilization, queue-depth
 //!   time series, sojourn percentiles, SLO attainment, with a
 //!   deterministic JSON encoding.
 //!
-//! The oracle boundary: this crate consumes only `CompiledPlan`/IGKW
-//! outputs via the oracle — never `dnnperf_gpu::timing` — so simulated
+//! The oracle boundary: this crate consumes only the answers the oracle
+//! reads from `CompiledPlan` entries or the IGKW model — never
+//! `dnnperf_gpu::timing` — so simulated
 //! what-ifs are honest products of the trained models. The lint's
 //! oracle-isolation pass enforces this.
 

@@ -163,7 +163,7 @@ fn auto_thread_count_matches_serial() {
 }
 
 /// The serving-path contract: a [`CompiledPlan`] is a pure performance
-/// feature. For every network × batch in the grid, the compiled sweep must
+/// feature. For every network × batch in the grid, the cached answer must
 /// reproduce the legacy recompute-every-call predictors **bit for bit** —
 /// the plain KW sum and the graceful-degradation ladder alike.
 #[test]
@@ -205,7 +205,7 @@ fn compiled_plans_match_legacy_predictors_bit_for_bit() {
                 "{} @ {batch}: cached predict diverged from KW",
                 net.name()
             );
-            // The graceful ladder, compiled vs reference.
+            // The graceful ladder, cached vs reference.
             let fast = suite.predict_graceful(net, batch).unwrap();
             let slow = suite.predict_graceful_uncompiled(net, batch).unwrap();
             assert_eq!(fast.seconds.to_bits(), slow.seconds.to_bits());
