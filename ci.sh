@@ -17,12 +17,11 @@ cargo build --release --offline --workspace
 echo "==> tier-1: test"
 cargo test -q --offline --workspace
 
-echo "==> determinism conformance (forced multi-threading, tmpdir cache)"
-# The conformance suite must pass with test-level parallelism forced >1 and
-# a warm-capable cache directory exported, so the engine's work-stealing and
-# cache-hit paths are exercised under contention (not just the defaults).
-DNNPERF_CACHE_DIR="$(mktemp -d)" \
-    cargo test -q --offline -p dnnperf --test determinism -- --test-threads 4
+echo "==> determinism conformance (forced multi-threading)"
+# The conformance suite must pass with test-level parallelism forced >1, so
+# the engine's work-stealing paths are exercised under contention (not just
+# the defaults).
+cargo test -q --offline -p dnnperf --test determinism -- --test-threads 4
 
 echo "==> fault-injection conformance (forced multi-threading)"
 # The resilience contract — fault-injected collection byte-identical to

@@ -38,8 +38,8 @@ const EXPERIMENTS: &[&str] = &[
 fn main() {
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe dir");
-    // Forward engine flags (--threads / --cache-dir) to every experiment,
-    // so one `all --cache-dir ...` run warms a shared dataset cache.
+    // Forward engine flags (--threads, --retries, --fault-rate,
+    // --fault-seed) to every experiment.
     let forwarded: Vec<String> = std::env::args().skip(1).collect();
     let mut failed = Vec::new();
     for exp in EXPERIMENTS {

@@ -49,11 +49,10 @@ pub fn banner(id: &str, title: &str) {
 }
 
 /// The collection engine options every experiment binary uses:
-/// environment overrides (`DNNPERF_THREADS`, `DNNPERF_CACHE_DIR`,
-/// `DNNPERF_FAULT_RATE`, `DNNPERF_FAULT_SEED`, `DNNPERF_RETRIES`) plus the
-/// command-line flags `--threads N`, `--cache-dir PATH`, `--retries N`,
-/// `--fault-rate F` and `--fault-seed S` (also accepted in `--flag=value`
-/// form), with the command line winning.
+/// environment overrides (`DNNPERF_THREADS`, `DNNPERF_FAULT_RATE`,
+/// `DNNPERF_FAULT_SEED`, `DNNPERF_RETRIES`) plus the command-line flags
+/// `--threads N`, `--retries N`, `--fault-rate F` and `--fault-seed S`
+/// (also accepted in `--flag=value` form), with the command line winning.
 ///
 /// `--fault-rate` in `(0, 1]` arms the deterministic transient-only fault
 /// plan (and the ingest outlier screen); `--fault-rate 0` disarms a plan
@@ -86,8 +85,6 @@ pub fn collect_options_from(
             if let Ok(v) = v.parse() {
                 opts.threads = v;
             }
-        } else if let Some(v) = value_of("--cache-dir") {
-            opts.cache_dir = Some(v.into());
         } else if let Some(v) = value_of("--retries") {
             if let Ok(v) = v.parse() {
                 opts.retries = v;
@@ -141,12 +138,10 @@ fn report_collection(
     );
 }
 
-/// Collects a dataset with a progress + resilience/cache-stats line
-/// (collection is the slow step), through the shared engine: work-stealing
-/// parallelism across the whole `(gpu, network, batch)` grid, bounded
-/// retries with backoff around every grid point and, when a cache
-/// directory is configured, content-addressed memoization that skips
-/// profiling entirely on warm reruns.
+/// Collects a dataset with a progress + resilience summary line, through
+/// the shared engine: work-stealing parallelism across the whole
+/// `(gpu, network, batch)` grid and bounded retries with backoff around
+/// every grid point.
 pub fn collect_verbose(nets: &[Network], gpus: &[GpuSpec], batches: &[usize]) -> Dataset {
     let t = Instant::now();
     let (ds, report) = collect_report_opts(nets, gpus, batches, &collect_options());
@@ -163,7 +158,7 @@ pub fn collect_verbose(nets: &[Network], gpus: &[GpuSpec], batches: &[usize]) ->
 }
 
 /// [`collect_verbose`] for training-step measurements: same engine, same
-/// parallelism, same cache (under a distinct cache key space).
+/// parallelism.
 pub fn collect_training_verbose(nets: &[Network], gpus: &[GpuSpec], batches: &[usize]) -> Dataset {
     let t = Instant::now();
     let (ds, report) = collect_training_report_opts(nets, gpus, batches, &collect_options());
@@ -365,11 +360,8 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let o = collect_options_from(args(&["--threads", "7"]), base.clone());
         assert_eq!(o.threads, 7);
-        let o = collect_options_from(args(&["--threads=3", "--cache-dir=/tmp/x"]), base.clone());
+        let o = collect_options_from(args(&["--threads=3"]), base.clone());
         assert_eq!(o.threads, 3);
-        assert_eq!(o.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
-        let o = collect_options_from(args(&["--cache-dir", "/tmp/y"]), base.clone());
-        assert_eq!(o.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/y")));
         // Unknown flags and malformed values leave the base untouched.
         let o = collect_options_from(args(&["--verbose", "--threads", "lots"]), base.clone());
         assert_eq!(o, base);

@@ -253,10 +253,8 @@ impl Workflow {
     }
 
     /// Measure-then-train in one step: collects `nets` on `gpu` through the
-    /// shared collection engine (work-stealing parallelism plus the
-    /// content-addressed dataset cache, per `opts`) and trains the suite on
-    /// the result. Repeated invocations with a cache directory skip the
-    /// profiling step entirely.
+    /// shared collection engine (work-stealing parallelism, retries and
+    /// fault injection, per `opts`) and trains the suite on the result.
     ///
     /// # Errors
     ///
@@ -292,7 +290,7 @@ impl Workflow {
         batches: &[usize],
         opts: &CollectOptions,
     ) -> Result<Self, TrainError> {
-        let (ds, _stats) = collect_opts(nets, std::slice::from_ref(gpu), batches, opts);
+        let ds = collect_opts(nets, std::slice::from_ref(gpu), batches, opts);
         Workflow::train(&ds, &gpu.name)
     }
 }

@@ -9,14 +9,10 @@
 //! regardless of thread count — a property the determinism conformance
 //! suite (`tests/determinism.rs`) pins down.
 //!
-//! On top of the engine sits an optional content-addressed on-disk cache
-//! ([`crate::cache`]): pass a `cache_dir` in [`CollectOptions`] (or set
-//! `DNNPERF_CACHE_DIR`) and repeated collections of the same grid under
-//! the same measurement universe are served from disk instead of
-//! re-profiled.
+//! Every collection is profiled afresh. The simulator profiles the full
+//! 646-network zoo on five GPUs in well under a second, which is faster
+//! than reading the resulting rows back from disk would be.
 
-pub use crate::cache::CollectMode;
-use crate::cache::{dataset_key, CacheLookup, CacheStats, DatasetCache, Fnv};
 use crate::dataset::Dataset;
 use crate::hygiene;
 use crate::record::{KernelRow, LayerRow, NetworkRow};
@@ -26,7 +22,6 @@ use dnnperf_gpu::{FaultPlan, FaultyProfiler, GpuSpec, ProfileError, Profiler, Ti
 use dnnperf_sched::retry::{
     retry_with_backoff, Backoff, Clock, RetryClass, RetryPolicy, SystemClock,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Converts one profiler trace into dataset rows.
@@ -78,6 +73,15 @@ pub fn trace_rows(trace: &Trace, net: &Network) -> (NetworkRow, Vec<LayerRow>, V
     (row, layers, kernels)
 }
 
+/// What a collection run measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CollectMode {
+    /// Forward inference batches (the paper's main dataset).
+    Inference,
+    /// Training steps: forward + backward + optimizer update.
+    Training,
+}
+
 /// Default bounded retries per grid point. Matches the default
 /// [`FaultPlan::max_faulty_attempts`], so a transient-only fault plan can
 /// always be retried through to its guaranteed-clean attempt.
@@ -91,9 +95,6 @@ pub struct CollectOptions {
     /// Worker threads for the profiling grid. `0` means "auto": use
     /// [`std::thread::available_parallelism`]. `1` disables threading.
     pub threads: usize,
-    /// Root directory of the content-addressed dataset cache; `None`
-    /// disables caching.
-    pub cache_dir: Option<PathBuf>,
     /// Bounded retries per grid point for transient failures, corrupted
     /// measurements and straggler attempts. Irrelevant without a fault
     /// plan: the clean simulator never fails transiently.
@@ -111,7 +112,6 @@ impl Default for CollectOptions {
     fn default() -> Self {
         CollectOptions {
             threads: 0,
-            cache_dir: None,
             retries: DEFAULT_RETRIES,
             fault: None,
             screen_outliers: false,
@@ -120,7 +120,7 @@ impl Default for CollectOptions {
 }
 
 impl CollectOptions {
-    /// Serial, uncached collection (the engine's conservative default).
+    /// Serial collection (the engine's conservative default).
     pub fn serial() -> Self {
         CollectOptions {
             threads: 1,
@@ -128,7 +128,7 @@ impl CollectOptions {
         }
     }
 
-    /// Uncached collection on `threads` workers.
+    /// Collection on `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         CollectOptions {
             threads,
@@ -139,7 +139,6 @@ impl CollectOptions {
     /// Options from the environment:
     ///
     /// * `DNNPERF_THREADS` — worker count; unparsable or zero means auto;
-    /// * `DNNPERF_CACHE_DIR` — cache root; unset or empty disables caching;
     /// * `DNNPERF_FAULT_RATE` — per-attempt fault probability; any value
     ///   in `(0, 1]` arms a transient-only fault plan (and the outlier
     ///   screen);
@@ -150,10 +149,6 @@ impl CollectOptions {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(0);
-        let cache_dir = std::env::var("DNNPERF_CACHE_DIR")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
         let retries = std::env::var("DNNPERF_RETRIES")
             .ok()
             .and_then(|v| v.parse::<u32>().ok())
@@ -171,17 +166,10 @@ impl CollectOptions {
         });
         CollectOptions {
             threads,
-            cache_dir,
             retries,
             screen_outliers: fault.is_some(),
             fault,
         }
-    }
-
-    /// Returns a copy with the cache rooted at `dir`.
-    pub fn cached_at(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
     }
 
     /// Returns a copy measuring through `plan`'s fault universe, with the
@@ -212,8 +200,8 @@ impl CollectOptions {
 
 /// Structured outcome accounting of one collection run: what profiled
 /// cleanly, what was retried or re-dispatched, what was quarantined, and
-/// what was lost — plus the run's cache traffic. One poisoned grid point
-/// shows up here instead of killing the campaign.
+/// what was lost. One poisoned grid point shows up here instead of killing
+/// the campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CollectReport {
     /// Grid points that yielded usable rows.
@@ -240,19 +228,9 @@ pub struct CollectReport {
     /// Grid points with no usable measurement after the retry budget
     /// (includes panicked points).
     pub dropped: u64,
-    /// The run's cache traffic.
-    pub cache: CacheStats,
 }
 
 impl CollectReport {
-    /// A report for a run fully served from cache.
-    fn from_cache(cache: CacheStats) -> Self {
-        CollectReport {
-            cache,
-            ..CollectReport::default()
-        }
-    }
-
     /// Whether every grid point produced its measurement without faults,
     /// retries or losses.
     pub fn is_clean(&self) -> bool {
@@ -266,11 +244,11 @@ impl CollectReport {
             && self.invalid_requests == 0
     }
 
-    /// The one-line per-run summary experiments print, extending the
-    /// cache-stats line with the resilience counters.
+    /// The one-line per-run summary experiments print: every counter and
+    /// the run's wall time.
     pub fn summary(&self, wall_seconds: f64) -> String {
         format!(
-            "collect: {} ok, {} oom-skipped, {} invalid, {} retried, {} recovered, {} stragglers, {} corrupt-meas, {} quarantined, {} panicked, {} dropped | {}",
+            "collect: {} ok, {} oom-skipped, {} invalid, {} retried, {} recovered, {} stragglers, {} corrupt-meas, {} quarantined, {} panicked, {} dropped | {:.2}s wall",
             self.ok,
             self.oom_skipped,
             self.invalid_requests,
@@ -281,7 +259,7 @@ impl CollectReport {
             self.quarantined,
             self.panicked,
             self.dropped,
-            self.cache.summary(wall_seconds)
+            wall_seconds
         )
     }
 }
@@ -568,8 +546,8 @@ fn run_grid(
     (ds, report)
 }
 
-/// The full engine: classified cache lookup, resilient parallel grid
-/// profiling, outlier quarantine, cache fill.
+/// The full engine: resilient parallel grid profiling, then outlier
+/// quarantine.
 ///
 /// This is the single path every public collection entry point funnels
 /// through; it returns the dataset plus the run's structured
@@ -582,48 +560,6 @@ pub fn collect_engine(
     mode: CollectMode,
     opts: &CollectOptions,
 ) -> (Dataset, CollectReport) {
-    let mut stats = CacheStats::default();
-    let cache = opts.cache_dir.as_ref().map(DatasetCache::new);
-    let key = cache.as_ref().map(|_| {
-        let base = dataset_key(nets, gpus, batches, timing.seed(), mode);
-        match &opts.fault {
-            // Clean runs keep their PR-2 cache identity.
-            None => base,
-            // Fault-injected runs live under their own identity: the same
-            // grid measured in a different fault universe (or with a
-            // different retry budget / screen) may produce different rows.
-            Some(plan) => {
-                let mut h = Fnv::new();
-                h.write_u64(base);
-                h.write_u64(plan.digest());
-                h.write_u64(u64::from(opts.retries));
-                h.write_u64(u64::from(opts.screen_outliers));
-                h.finish()
-            }
-        }
-    });
-    if let (Some(cache), Some(key)) = (&cache, key) {
-        match cache.lookup(key) {
-            CacheLookup::Hit(ds, bytes) => {
-                // Trust but verify: a structurally valid entry carrying
-                // invalid times (damaged payload digits) is corrupt too.
-                if hygiene::dataset_is_wholesome(&ds) {
-                    stats.hits += 1;
-                    stats.bytes_read += bytes;
-                    return (ds, CollectReport::from_cache(stats));
-                }
-                stats.corrupt += 1;
-                stats.misses += 1;
-            }
-            CacheLookup::Miss => stats.misses += 1,
-            // Corrupt entries recollect like misses but are surfaced: a
-            // damaged cache is worth knowing about.
-            CacheLookup::Corrupt => {
-                stats.corrupt += 1;
-                stats.misses += 1;
-            }
-        }
-    }
     let (mut ds, mut report) = run_grid(nets, gpus, batches, timing, mode, opts);
     if opts.screen_outliers {
         // Silent ×k outliers that survived per-trace screening are only
@@ -631,13 +567,6 @@ pub fn collect_engine(
         // them.
         report.quarantined = hygiene::quarantine_scale_outliers(&mut ds);
     }
-    if let (Some(cache), Some(key)) = (&cache, key) {
-        // The cache is best-effort: a full disk must not fail collection.
-        if let Ok(bytes) = cache.store(key, &ds) {
-            stats.bytes_written += bytes;
-        }
-    }
-    report.cache = stats;
     (ds, report)
 }
 
@@ -679,20 +608,18 @@ pub fn collect_with(
     .0
 }
 
-/// Collection with full engine options (threads + cache + faults),
-/// returning the run's cache traffic alongside the dataset.
+/// Collection with full engine options (threads + retries + faults).
 pub fn collect_opts(
     nets: &[Network],
     gpus: &[GpuSpec],
     batches: &[usize],
     opts: &CollectOptions,
-) -> (Dataset, CacheStats) {
-    let (ds, report) = collect_report_opts(nets, gpus, batches, opts);
-    (ds, report.cache)
+) -> Dataset {
+    collect_report_opts(nets, gpus, batches, opts).0
 }
 
-/// Like [`collect_opts`], but returning the full structured
-/// [`CollectReport`] (resilience counters + cache traffic).
+/// Like [`collect_opts`], but also returning the run's structured
+/// [`CollectReport`].
 pub fn collect_report_opts(
     nets: &[Network],
     gpus: &[GpuSpec],
@@ -729,7 +656,7 @@ pub fn collect_parallel(
     threads: usize,
 ) -> Dataset {
     assert!(threads > 0, "need at least one worker thread");
-    collect_opts(nets, gpus, batches, &CollectOptions::with_threads(threads)).0
+    collect_opts(nets, gpus, batches, &CollectOptions::with_threads(threads))
 }
 
 /// The GPUs the paper's single-GPU models are trained and evaluated on
@@ -753,23 +680,22 @@ pub const TRAIN_BATCH: usize = 512;
 /// activations alive, so feasible batch sizes are smaller than for
 /// inference.
 pub fn collect_training(nets: &[Network], gpus: &[GpuSpec], batches: &[usize]) -> Dataset {
-    collect_training_opts(nets, gpus, batches, &CollectOptions::serial()).0
+    collect_training_opts(nets, gpus, batches, &CollectOptions::serial())
 }
 
 /// [`collect_training`] with full engine options: training collection gets
-/// the same work-stealing parallelism and content-addressed caching as
-/// inference collection (the two modes never share cache keys).
+/// the same work-stealing parallelism, retries and fault injection as
+/// inference collection.
 pub fn collect_training_opts(
     nets: &[Network],
     gpus: &[GpuSpec],
     batches: &[usize],
     opts: &CollectOptions,
-) -> (Dataset, CacheStats) {
-    let (ds, report) = collect_training_report_opts(nets, gpus, batches, opts);
-    (ds, report.cache)
+) -> Dataset {
+    collect_training_report_opts(nets, gpus, batches, opts).0
 }
 
-/// Like [`collect_training_opts`], but returning the full structured
+/// Like [`collect_training_opts`], but also returning the run's structured
 /// [`CollectReport`].
 pub fn collect_training_report_opts(
     nets: &[Network],
@@ -790,10 +716,9 @@ pub fn collect_training_report_opts(
 /// Collects the paper's main dataset: the full 646-network CNN zoo at the
 /// training batch size on the five evaluation GPUs.
 ///
-/// Honors `DNNPERF_THREADS` and `DNNPERF_CACHE_DIR` (see
-/// [`CollectOptions::from_env`]) and prints the per-run cache-stats
-/// summary line to stderr. With a warm cache the profiling step is skipped
-/// entirely.
+/// Honors the `DNNPERF_*` engine overrides (see
+/// [`CollectOptions::from_env`]) and prints the per-run summary line to
+/// stderr.
 pub fn collect_main_cnn_dataset() -> Dataset {
     collect_main_cnn_dataset_opts(&CollectOptions::from_env())
 }
@@ -898,28 +823,29 @@ mod tests {
             std::slice::from_ref(&gpu),
             &[16],
             &CollectOptions::with_threads(4),
-        )
-        .0;
+        );
         assert_eq!(ds, par);
     }
 
     #[test]
-    fn cached_collection_hits_on_second_run() {
-        let dir = std::env::temp_dir().join("dnnperf_collect_cache_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let nets = [zoo::mobilenet::mobilenet_v2(0.4, 1.0)];
-        let gpus = [GpuSpec::by_name("V100").unwrap()];
-        let opts = CollectOptions::with_threads(2).cached_at(&dir);
-        let (cold, s1) = collect_opts(&nets, &gpus, &[8], &opts);
-        assert_eq!((s1.hits, s1.misses), (0, 1));
-        assert!(s1.bytes_written > 0);
-        let (warm, s2) = collect_opts(&nets, &gpus, &[8], &opts);
-        assert_eq!((s2.hits, s2.misses), (1, 0));
-        assert_eq!(s2.bytes_read, s1.bytes_written);
-        assert_eq!(cold, warm);
-        // And both equal the uncached collection.
-        assert_eq!(cold, collect(&nets, &gpus, &[8]));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn summary_names_every_counter_and_the_wall_time() {
+        let report = CollectReport {
+            ok: 11,
+            oom_skipped: 12,
+            invalid_requests: 13,
+            retried: 14,
+            recovered: 15,
+            stragglers: 16,
+            corrupt_measurements: 17,
+            quarantined: 18,
+            panicked: 19,
+            dropped: 20,
+        };
+        assert_eq!(
+            report.summary(0.4251),
+            "collect: 11 ok, 12 oom-skipped, 13 invalid, 14 retried, 15 recovered, \
+             16 stragglers, 17 corrupt-meas, 18 quarantined, 19 panicked, 20 dropped | 0.43s wall"
+        );
     }
 
     #[test]

@@ -52,11 +52,11 @@ impl From<io::Error> for CsvError {
     }
 }
 
-pub(crate) const NETWORK_HEADER: &str =
+const NETWORK_HEADER: &str =
     "network,family,gpu,batch,flops,bytes,e2e_seconds,gpu_seconds,kernel_count";
-pub(crate) const LAYER_HEADER: &str =
+const LAYER_HEADER: &str =
     "network,gpu,batch,layer_index,layer_type,flops,in_elems,out_elems,seconds";
-pub(crate) const KERNEL_HEADER: &str =
+const KERNEL_HEADER: &str =
     "network,gpu,batch,layer_index,layer_type,kernel,in_elems,flops,out_elems,seconds";
 
 fn check_field(s: &str) -> &str {
@@ -92,9 +92,8 @@ pub fn read_dataset(dir: &Path) -> Result<Dataset, CsvError> {
     })
 }
 
-/// Writes one network row (no trailing header logic); shared with the
-/// dataset cache's single-file container format.
-pub(crate) fn write_network_row<W: Write>(w: &mut W, r: &NetworkRow) -> io::Result<()> {
+/// Writes one network row (no trailing header logic).
+fn write_network_row<W: Write>(w: &mut W, r: &NetworkRow) -> io::Result<()> {
     writeln!(
         w,
         "{},{},{},{},{},{},{},{},{}",
@@ -110,8 +109,8 @@ pub(crate) fn write_network_row<W: Write>(w: &mut W, r: &NetworkRow) -> io::Resu
     )
 }
 
-/// Writes one layer row; shared with the dataset cache.
-pub(crate) fn write_layer_row<W: Write>(w: &mut W, r: &LayerRow) -> io::Result<()> {
+/// Writes one layer row.
+fn write_layer_row<W: Write>(w: &mut W, r: &LayerRow) -> io::Result<()> {
     writeln!(
         w,
         "{},{},{},{},{},{},{},{},{}",
@@ -127,8 +126,8 @@ pub(crate) fn write_layer_row<W: Write>(w: &mut W, r: &LayerRow) -> io::Result<(
     )
 }
 
-/// Writes one kernel row; shared with the dataset cache.
-pub(crate) fn write_kernel_row<W: Write>(w: &mut W, r: &KernelRow) -> io::Result<()> {
+/// Writes one kernel row.
+fn write_kernel_row<W: Write>(w: &mut W, r: &KernelRow) -> io::Result<()> {
     writeln!(
         w,
         "{},{},{},{},{},{},{},{},{},{}",
@@ -224,7 +223,7 @@ fn read_lines(path: &Path, header: &str) -> Result<Vec<String>, CsvError> {
 }
 
 /// Parses one network row. `line_no` is the 1-based line for diagnostics.
-pub(crate) fn parse_network_row(line: &str, line_no: usize) -> Result<NetworkRow, CsvError> {
+fn parse_network_row(line: &str, line_no: usize) -> Result<NetworkRow, CsvError> {
     let f = Fields::new(line, line_no, 9)?;
     Ok(NetworkRow {
         network: f.str(0),
@@ -240,7 +239,7 @@ pub(crate) fn parse_network_row(line: &str, line_no: usize) -> Result<NetworkRow
 }
 
 /// Parses one layer row.
-pub(crate) fn parse_layer_row(line: &str, line_no: usize) -> Result<LayerRow, CsvError> {
+fn parse_layer_row(line: &str, line_no: usize) -> Result<LayerRow, CsvError> {
     let f = Fields::new(line, line_no, 9)?;
     Ok(LayerRow {
         network: f.str(0),
@@ -256,7 +255,7 @@ pub(crate) fn parse_layer_row(line: &str, line_no: usize) -> Result<LayerRow, Cs
 }
 
 /// Parses one kernel row.
-pub(crate) fn parse_kernel_row(line: &str, line_no: usize) -> Result<KernelRow, CsvError> {
+fn parse_kernel_row(line: &str, line_no: usize) -> Result<KernelRow, CsvError> {
     let f = Fields::new(line, line_no, 10)?;
     Ok(KernelRow {
         network: f.str(0),

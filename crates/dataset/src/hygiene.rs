@@ -7,8 +7,7 @@
 //! * **Invalid measurements** — NaN/Inf/zero/negative times. These are
 //!   detectable per-trace, so collection rejects them at the profile
 //!   boundary ([`trace_is_wholesome`]) and retries; a dataset loaded from
-//!   an external source (or a damaged cache entry) is re-screened with
-//!   [`dataset_is_wholesome`].
+//!   an external source is re-screened with [`dataset_is_wholesome`].
 //! * **Silent outliers** — finite, positive, but wildly wrong (a kernel
 //!   measured ×40 slow because a co-located job stole the SMs). These are
 //!   only detectable *statistically*, by comparing against replicate
@@ -69,7 +68,7 @@ pub fn trace_is_wholesome(trace: &Trace) -> bool {
 
 /// Whether every time in `ds` (network, layer and kernel rows) is finite
 /// and positive. Used to re-screen datasets that did not come straight
-/// from the profiler (cache hits, external CSVs).
+/// from the profiler (external CSVs).
 ///
 /// Layer rows are the one exception to strict positivity: a layer's time
 /// is the sum of its kernel times, and layers that launch no kernels

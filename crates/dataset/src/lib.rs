@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod collect;
 pub mod csv;
 pub mod dataset;
@@ -33,8 +32,7 @@ pub mod record;
 pub mod split;
 pub mod view;
 
-pub use cache::{CacheLookup, CacheStats, CollectMode, DatasetCache};
-pub use collect::{CollectOptions, CollectReport};
+pub use collect::{CollectMode, CollectOptions, CollectReport};
 pub use dataset::Dataset;
 pub use hygiene::{dataset_is_wholesome, quarantine_scale_outliers, trace_is_wholesome};
 pub use record::{KernelRow, LayerRow, NetworkRow};

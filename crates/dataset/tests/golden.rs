@@ -1,7 +1,7 @@
 //! Golden-file test for the dataset CSV format.
 //!
-//! The CSV files are the repo's interchange format (and the backbone of
-//! the cache container): their byte-level layout must not drift silently.
+//! The CSV files are the repo's interchange format: their byte-level
+//! layout must not drift silently.
 //! A pinned in-memory dataset — with deliberately awkward floating-point
 //! values — is written out and compared byte-for-byte against checked-in
 //! golden files, then re-parsed and compared for exact equality.

@@ -215,23 +215,6 @@ impl FaultPlan {
             _ => InjectedFault::Panic,
         })
     }
-
-    /// A digest of every field that influences decisions, for folding into
-    /// dataset cache keys: two plans with equal digests produce identical
-    /// fault schedules.
-    pub fn digest(&self) -> u64 {
-        let mut d = splitmix(self.seed ^ 0xFA17_D16E);
-        d = splitmix(d ^ self.rate.to_bits());
-        d = splitmix(
-            d ^ self.kinds.enabled_count() << 32
-                ^ u64::from(self.kinds.transient)
-                ^ u64::from(self.kinds.straggler) << 1
-                ^ u64::from(self.kinds.corrupt) << 2
-                ^ u64::from(self.kinds.panic) << 3,
-        );
-        d = splitmix(d ^ u64::from(self.max_faulty_attempts));
-        splitmix(d ^ self.straggler_delay.as_nanos() as u64)
-    }
 }
 
 /// Applies a [`Corruption`] to a trace in place, damaging one
@@ -479,24 +462,6 @@ mod tests {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn digest_tracks_every_field() {
-        let base = FaultPlan::transient_only(5, 0.1);
-        let mut seed = base.clone();
-        seed.seed = 6;
-        let mut rate = base.clone();
-        rate.rate = 0.2;
-        let mut depth = base.clone();
-        depth.max_faulty_attempts = 4;
-        let mut kinds = base.clone();
-        kinds.kinds = FaultKinds::chaos();
-        let d = base.digest();
-        assert_ne!(d, seed.digest());
-        assert_ne!(d, rate.digest());
-        assert_ne!(d, depth.digest());
-        assert_ne!(d, kinds.digest());
     }
 
     #[test]

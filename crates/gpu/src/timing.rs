@@ -150,18 +150,6 @@ impl TimingModel {
         }
     }
 
-    /// The seed identifying this measurement universe.
-    ///
-    /// This is *not* a pricing parameter leak: the seed carries no
-    /// information about efficiencies, deviations or overheads — it only
-    /// names which universe produced a set of measurements. The dataset
-    /// cache keys cached collections on it so measurements from different
-    /// universes can never be confused, while the predictors still see
-    /// nothing but the produced times.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Per-kernel CPU launch overhead on this GPU's host, in seconds.
     pub fn launch_overhead(&self, gpu: &GpuSpec) -> f64 {
         3.0e-6 * uniform(hash_with(&gpu.name, self.seed ^ 0x11), 0.8, 1.3)

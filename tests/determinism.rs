@@ -1,10 +1,9 @@
 //! Determinism conformance suite for the collection engine.
 //!
-//! The work-stealing engine promises that parallelism and caching are pure
-//! performance features: whatever the thread count, whatever the stealing
-//! interleaving, and whether a dataset comes out of the profiler or off
-//! disk, the resulting [`Dataset`] is **equal** to the one the serial
-//! reference path produces. These properties pin that contract across
+//! The work-stealing engine promises that parallelism is a pure
+//! performance feature: whatever the thread count and whatever the
+//! stealing interleaving, the resulting [`Dataset`] is **equal** to the one
+//! the serial reference path produces. These properties pin that contract across
 //! randomized zoo subsets, GPU sets, batch lists and thread counts
 //! (including more threads than grid points).
 
@@ -13,8 +12,6 @@ use dnnperf::data::{CollectOptions, Dataset};
 use dnnperf::dnn::{zoo, Network};
 use dnnperf::gpu::GpuSpec;
 use dnnperf_testkit::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Small, cheap-to-profile networks so the property runs stay fast.
 fn net_pool() -> Vec<Network> {
@@ -38,18 +35,6 @@ fn pick<T: Clone>(pool: &[T], indices: &[usize]) -> Vec<T> {
         }
     }
     out
-}
-
-/// A fresh, unique scratch cache directory (std-only; no tempfile crate).
-fn fresh_cache_dir(tag: &str) -> PathBuf {
-    static NONCE: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "dnnperf_determinism_{tag}_{}_{}",
-        std::process::id(),
-        NONCE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn grid(
@@ -80,41 +65,6 @@ props! {
         let serial = collect(&nets, &gpus, &batches);
         let parallel = collect_parallel(&nets, &gpus, &batches, threads);
         prop_assert_eq!(serial, parallel);
-    }
-
-    /// Cache transparency: a cold-cache run (profiles, then stores), the
-    /// warm-cache rerun (loads off disk), and a cache-less run all yield
-    /// the same dataset — and the stats counters tell the right story.
-    #[test]
-    fn cache_is_invisible_to_results(
-        net_idx in vec(0usize..4, 1..=2),
-        gpu_idx in vec(0usize..5, 1..=1),
-        batches in vec(select(vec![1usize, 4]), 1..=2),
-        threads in 1usize..9,
-    ) {
-        let (nets, gpus, batches) = grid(&net_idx, &gpu_idx, &batches);
-        let dir = fresh_cache_dir("prop");
-        let opts = CollectOptions::with_threads(threads).cached_at(&dir);
-
-        let (cold, s_cold) = collect_opts(&nets, &gpus, &batches, &opts);
-        prop_assert_eq!((s_cold.hits, s_cold.misses), (0, 1));
-        prop_assert!(s_cold.bytes_written > 0);
-
-        let (warm, s_warm) = collect_opts(&nets, &gpus, &batches, &opts);
-        prop_assert_eq!((s_warm.hits, s_warm.misses), (1, 0));
-        prop_assert_eq!(s_warm.bytes_read, s_cold.bytes_written);
-
-        let (bare, s_bare) = collect_opts(
-            &nets,
-            &gpus,
-            &batches,
-            &CollectOptions::with_threads(threads),
-        );
-        prop_assert_eq!((s_bare.hits, s_bare.misses, s_bare.bytes_read), (0, 0, 0));
-
-        prop_assert_eq!(&cold, &warm);
-        prop_assert_eq!(&cold, &bare);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -150,7 +100,7 @@ fn auto_thread_count_matches_serial() {
     let nets = net_pool();
     let gpus = evaluation_gpus();
     let serial = collect(&nets[..2], &gpus[..2], &[2, 4]);
-    let (auto, _) = collect_opts(
+    let auto = collect_opts(
         &nets[..2],
         &gpus[..2],
         &[2, 4],
@@ -319,29 +269,5 @@ fn training_on_chunk_spanning_groups_is_byte_identical() {
             serial_clusters,
             "cluster threads = {threads}"
         );
-    }
-}
-
-/// When ci.sh exports `DNNPERF_CACHE_DIR`, the env-derived options must
-/// route collection through that cache — and the cached result must still
-/// equal the serial reference. Without the variable the test only checks
-/// that `from_env` leaves caching off (unless the user set it).
-#[test]
-fn env_cache_dir_is_honored() {
-    let opts = CollectOptions::from_env();
-    match std::env::var_os("DNNPERF_CACHE_DIR") {
-        Some(dir) => {
-            assert_eq!(opts.cache_dir.as_deref(), Some(std::path::Path::new(&dir)));
-            let nets = net_pool();
-            let gpu = evaluation_gpus().remove(0);
-            let serial = collect(&nets[..2], std::slice::from_ref(&gpu), &[2]);
-            // Twice: the second run must be a pure cache hit.
-            let (first, _) = collect_opts(&nets[..2], std::slice::from_ref(&gpu), &[2], &opts);
-            let (second, stats) = collect_opts(&nets[..2], std::slice::from_ref(&gpu), &[2], &opts);
-            assert_eq!(serial, first);
-            assert_eq!(serial, second);
-            assert_eq!((stats.hits, stats.misses), (1, 0));
-        }
-        None => assert_eq!(opts.cache_dir, None),
     }
 }

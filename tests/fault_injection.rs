@@ -254,29 +254,3 @@ fn unretried_corruption_is_quarantined_not_trained_on() {
     assert_eq!(report.quarantined, 0);
     assert!(report.recovered > 0);
 }
-
-/// Fault-injected runs get their own cache keys: a faulty run must never
-/// serve (or poison) the clean run's cache entry, while the clean key
-/// stays stable so warm reruns still hit.
-#[test]
-fn fault_plans_partition_the_cache() {
-    let nets = vec![zoo::mobilenet::mobilenet_v2(0.25, 1.0)];
-    let gpus = [GpuSpec::by_name("A100").unwrap()];
-    let dir = scratch_dir("cache_split");
-
-    let clean = CollectOptions::serial().cached_at(&dir);
-    let faulty = clean.clone().faulty(FaultPlan::transient_only(7, 0.5));
-
-    let (ds_clean, r1) = collect_report_opts(&nets, &gpus, &[2], &clean);
-    assert_eq!((r1.cache.hits, r1.cache.misses), (0, 1));
-    // The faulty run must miss (different key), not reuse the clean entry.
-    let (ds_faulty, r2) = collect_report_opts(&nets, &gpus, &[2], &faulty);
-    assert_eq!((r2.cache.hits, r2.cache.misses), (0, 1));
-    assert_eq!(ds_faulty, ds_clean, "recoverable faults converge");
-    // Reruns of each flavour hit their own entries.
-    let (_, r3) = collect_report_opts(&nets, &gpus, &[2], &clean);
-    assert_eq!((r3.cache.hits, r3.cache.misses), (1, 0));
-    let (_, r4) = collect_report_opts(&nets, &gpus, &[2], &faulty);
-    assert_eq!((r4.cache.hits, r4.cache.misses), (1, 0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
