@@ -70,7 +70,7 @@ pub use kernelwise::{KwModel, LayerCoverage};
 pub use layerwise::LwModel;
 pub use mapping::{KernelMap, LayerSignature};
 pub use model::Predictor;
-pub use oracle::{OraclePrediction, OracleSource, PlanSource, PredictionOracle};
+pub use oracle::{OraclePrediction, OracleSource, PredictionOracle};
 pub use overhead::{KwWithOverhead, OverheadModel};
 pub use persist::PersistError;
 pub use plan::CompiledPlan;

@@ -9,7 +9,7 @@
 //! packages that as [`PredictionOracle`]:
 //!
 //! * GPUs with a trained [`Workflow`] are priced by the cached plan
-//!   entry ([`CompiledPlan::predict_graceful`]) — bit-identical to
+//!   entry ([`crate::CompiledPlan::predict_graceful`]) — bit-identical to
 //!   [`Workflow::predict_graceful`], [`Degradation`] notes included, so
 //!   the simulator can annotate results whose service times leaned on a
 //!   coarser model;
@@ -17,12 +17,10 @@
 //!   ([`IgkwModel::predict_network_on`]), flagged as
 //!   [`OracleSource::Igkw`].
 //!
-//! Plan lookups route through a pluggable [`PlanSource`]. Both impls live
-//! in this crate: the default [`SuitePlans`] uses each suite's own
-//! [`Workflow::plan`] cache, and [`SharedPlanCache`](crate::SharedPlanCache)
-//! — the same cache type, shared — lets a simulator draw from the
-//! resident set a prediction server uses, without the oracle caring
-//! where plans live.
+//! Plan lookups go through each suite's own [`Workflow::plan`] cache —
+//! the same budgeted, generation-keyed [`SharedPlanCache`](crate::SharedPlanCache)
+//! type the prediction server shares — so a warm request costs one
+//! lookup and a request is priced at most once per residency.
 //!
 //! The oracle consumes only public model surfaces — compiled plans and
 //! IGKW fits — never `dnnperf_gpu::timing`; the oracle-isolation lint
@@ -33,46 +31,11 @@ use crate::degrade::{Degradation, GracefulPrediction};
 use crate::error::PredictError;
 use crate::intergpu::IgkwModel;
 use crate::model::Predictor;
-use crate::plan::CompiledPlan;
 use crate::workflow::Workflow;
 use dnnperf_dnn::Network;
 use dnnperf_gpu::GpuSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Where a compiled plan for `(suite, network, batch)` comes from.
-///
-/// The default implementation is the suite's own plan cache; a
-/// [`SharedPlanCache`](crate::SharedPlanCache) shared with a prediction
-/// server lets simulators and servers draw from the same resident plans.
-pub trait PlanSource: Send + Sync {
-    /// The compiled plan for the request, compiling on miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PredictError`] from plan compilation.
-    fn plan_for(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError>;
-}
-
-/// The default [`PlanSource`]: each suite's own [`Workflow::plan`] cache.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SuitePlans;
-
-impl PlanSource for SuitePlans {
-    fn plan_for(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError> {
-        suite.plan(net, batch)
-    }
-}
 
 /// Which model family priced an oracle request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,30 +70,16 @@ impl OraclePrediction {
 
 /// Service-time oracle over trained suites with an inter-GPU fallback.
 /// See the module docs for the design.
+#[derive(Default)]
 pub struct PredictionOracle {
     suites: BTreeMap<String, Arc<Workflow>>,
     igkw: Option<IgkwModel>,
-    source: Arc<dyn PlanSource>,
 }
 
 impl PredictionOracle {
-    /// An empty oracle using each suite's own plan cache.
+    /// An empty oracle.
     pub fn new() -> Self {
-        PredictionOracle {
-            suites: BTreeMap::new(),
-            igkw: None,
-            source: Arc::new(SuitePlans),
-        }
-    }
-
-    /// An empty oracle whose plan lookups go through `source` (e.g. a
-    /// shared serving cache) instead of each suite's private cache.
-    pub fn with_plan_source(source: Arc<dyn PlanSource>) -> Self {
-        PredictionOracle {
-            suites: BTreeMap::new(),
-            igkw: None,
-            source,
-        }
+        PredictionOracle::default()
     }
 
     /// Registers the trained suite for one GPU (keyed by the suite's GPU
@@ -177,7 +126,7 @@ impl PredictionOracle {
         batch: usize,
     ) -> Result<OraclePrediction, PredictError> {
         if let Some(suite) = self.suites.get(&gpu.name) {
-            let plan = self.source.plan_for(suite, net, batch)?;
+            let plan = suite.plan(net, batch)?;
             let GracefulPrediction { seconds, notes } = plan.predict_graceful();
             return Ok(OraclePrediction {
                 seconds,
@@ -196,12 +145,6 @@ impl PredictionOracle {
         Err(PredictError::NoModelForGpu {
             gpu: gpu.name.clone(),
         })
-    }
-}
-
-impl Default for PredictionOracle {
-    fn default() -> Self {
-        PredictionOracle::new()
     }
 }
 
@@ -247,6 +190,22 @@ mod tests {
         assert_eq!(got.notes, want.notes);
         assert_eq!(got.source, OracleSource::CompiledPlan);
         assert!(got.is_degraded());
+    }
+
+    #[test]
+    fn repeated_requests_share_one_suite_cache_entry() {
+        let suite = suite("A100", &vgg_only());
+        let mut oracle = PredictionOracle::new();
+        oracle.add_suite(Arc::clone(&suite));
+        let gpu = GpuSpec::by_name("A100").unwrap();
+        let net = dnnperf_dnn::zoo::vgg::vgg16();
+        let first = oracle.predict(&gpu, &net, 32).unwrap();
+        let hits = suite.plans.stats().hits;
+        let second = oracle.predict(&gpu, &net, 32).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(suite.cached_plans(), 1);
+        let stats = suite.plans.stats();
+        assert_eq!((stats.hits, stats.compiles), (hits + 1, 1));
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   by every training run, so swapping a retrained suite under the
 //!   server changes every key it can produce — a reused cache
 //!   *structurally cannot* serve plans compiled against retired models;
-//! * the **network fingerprint** ([`network_fingerprint`]) hashes the
-//!   full layer structure, so two different networks never alias;
+//! * the **network fingerprint** ([`Network::fingerprint`]) hashes the
+//!   full layer structure, so two different networks never alias; it is
+//!   computed once when the network is built, so making a key walks no
+//!   layers and a warm hit costs one shard lock and one map lookup;
 //! * the **batch** completes the request identity.
 //!
 //! Each shard runs LRU eviction under a per-shard slice of the
@@ -32,7 +34,7 @@
 //! it never drains its ancestor.
 
 use crate::error::PredictError;
-use crate::plan::{network_fingerprint, CompiledPlan};
+use crate::plan::CompiledPlan;
 use crate::workflow::Workflow;
 use dnnperf_dnn::Network;
 use dnnperf_sched::sync::{lock_unpoisoned, wait_unpoisoned};
@@ -53,11 +55,12 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// The key for a request against a given suite.
+    /// The key for a request against a given suite. O(1): the network's
+    /// fingerprint was hashed when it was built.
     pub fn of(suite: &Workflow, net: &Network, batch: usize) -> Self {
         PlanKey {
             generation: suite.generation(),
-            fingerprint: network_fingerprint(net),
+            fingerprint: net.fingerprint(),
             batch,
         }
     }
@@ -264,31 +267,7 @@ impl SharedPlanCache {
         net: &Network,
         batch: usize,
     ) -> Result<Arc<CompiledPlan>, PredictError> {
-        self.get_or_compile_keyed(PlanKey::of(suite, net, batch), suite, net)
-    }
-
-    /// The resident plan for `key`, counted as a hit; `None` on a miss,
-    /// which is not counted (the caller that goes on to compile through
-    /// [`SharedPlanCache::get_or_compile_keyed`] counts it there).
-    pub fn lookup(&self, key: PlanKey) -> Option<Arc<CompiledPlan>> {
-        let plan = lock_unpoisoned(&self.shard_of(&key).state).touch(key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(plan)
-    }
-
-    /// [`SharedPlanCache::get_or_compile`] for a key the caller already
-    /// holds, so the network is not re-fingerprinted. `key` must be
-    /// `PlanKey::of(suite, net, key.batch)`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SharedPlanCache::get_or_compile`].
-    pub fn get_or_compile_keyed(
-        &self,
-        key: PlanKey,
-        suite: &Workflow,
-        net: &Network,
-    ) -> Result<Arc<CompiledPlan>, PredictError> {
+        let key = PlanKey::of(suite, net, batch);
         let shard = self.shard_of(&key);
         {
             let mut st = lock_unpoisoned(&shard.state);
@@ -310,7 +289,7 @@ impl SharedPlanCache {
         // Compile outside the lock: other keys on this shard stay
         // servable while we work.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = CompiledPlan::compile(suite, net, key.batch);
+        let compiled = CompiledPlan::compile(suite, net, batch);
         let mut st = lock_unpoisoned(&shard.state);
         st.inflight.remove(&key);
         let result = match compiled {
@@ -347,6 +326,15 @@ impl SharedPlanCache {
         drop(st);
         shard.compiled.notify_all();
         result
+    }
+
+    /// The resident plan for `key`, counted as a hit; `None` on a miss,
+    /// which is not counted and compiles nothing (a caller that goes on
+    /// to [`SharedPlanCache::get_or_compile`] counts it there).
+    pub fn lookup(&self, key: PlanKey) -> Option<Arc<CompiledPlan>> {
+        let plan = lock_unpoisoned(&self.shard_of(&key).state).touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
     }
 
     /// Drops every resident plan compiled against `generation` (a retired
@@ -440,23 +428,6 @@ impl Clone for SharedPlanCache {
             })
             .collect();
         SharedPlanCache::with_states(states, self.budget_per_shard)
-    }
-}
-
-/// The shared cache as a [`crate::oracle::PlanSource`]: a
-/// [`crate::PredictionOracle`] built over it (the fleet simulator's
-/// service-time oracle) draws from the same budgeted, generation-keyed
-/// resident set as the prediction server, so capacity studies and live
-/// serving share one working set — and the cache's never-over-budget and
-/// never-stale invariants hold on that path too.
-impl crate::oracle::PlanSource for SharedPlanCache {
-    fn plan_for(
-        &self,
-        suite: &Workflow,
-        net: &Network,
-        batch: usize,
-    ) -> Result<Arc<CompiledPlan>, PredictError> {
-        self.get_or_compile(suite, net, batch)
     }
 }
 

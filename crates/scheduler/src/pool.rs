@@ -284,19 +284,46 @@ mod tests {
     fn skewed_job_costs_are_stolen() {
         // One pathologically slow job at index 0; with static chunking its
         // whole block would wait behind it, here the other workers steal it
-        // empty. We can't assert timing portably, so assert correctness
-        // under the skew and that multiple workers participated.
-        let seen = Mutex::new(std::collections::HashSet::new());
+        // empty. Job 0 stays busy until another thread has recorded a job,
+        // and every other job first waits for job 0 to start, so no single
+        // thread can drain the grid however the threads are scheduled. The
+        // waits are bounded, so a broken pool fails the assertion instead
+        // of hanging.
+        struct Seen {
+            zero_started: bool,
+            threads: std::collections::HashSet<std::thread::ThreadId>,
+        }
+        let seen = Mutex::new(Seen {
+            zero_started: false,
+            threads: std::collections::HashSet::new(),
+        });
+        let changed = std::sync::Condvar::new();
+        let timeout = std::time::Duration::from_secs(10);
         let out = run_indexed(64, 4, |i| {
+            let me = std::thread::current().id();
+            let mut st = seen.lock().unwrap();
             if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
+                st.zero_started = true;
+                st.threads.insert(me);
+                changed.notify_all();
+                drop(
+                    changed
+                        .wait_timeout_while(st, timeout, |st| st.threads.iter().all(|t| *t == me))
+                        .unwrap(),
+                );
+            } else {
+                st = changed
+                    .wait_timeout_while(st, timeout, |st| !st.zero_started)
+                    .unwrap()
+                    .0;
+                st.threads.insert(me);
+                changed.notify_all();
             }
-            seen.lock().unwrap().insert(std::thread::current().id());
             i * 2
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 2));
         assert!(
-            seen.lock().unwrap().len() > 1,
+            seen.lock().unwrap().threads.len() > 1,
             "expected >1 worker to run jobs"
         );
     }

@@ -38,9 +38,11 @@
 //! against the `Arc<Workflow>` it resolved, so a racing retrain can
 //! never make an in-flight request mix models from two training runs —
 //! each request is deterministically served by exactly one suite
-//! snapshot. Each network's structural fingerprint is hashed once, when
-//! it joins the catalog, so building a request's cache key costs no
-//! walk over its layers.
+//! snapshot. A network carries its structural fingerprint from
+//! construction ([`Network::fingerprint`]), so building a request's cache
+//! key ([`PlanKey::of`]) costs no walk over its layers, and the worker
+//! pool reaches the cache through the same
+//! [`SharedPlanCache::get_or_compile`] as every library caller.
 //!
 //! # Failure model
 //!
@@ -72,7 +74,6 @@
 
 use crate::fault::{InjectedWorkerPanic, PanicPlan};
 use crate::protocol::Response;
-use dnnperf_core::plan::network_fingerprint;
 use dnnperf_core::{
     CacheConfig, CacheStats, CompiledPlan, GracefulPrediction, PlanKey, PredictError,
     SharedPlanCache, Workflow,
@@ -233,9 +234,7 @@ impl Pending {
 struct Job {
     suite: Arc<Workflow>,
     net: Arc<Network>,
-    /// The plan-cache key, built at submit time from the pinned suite's
-    /// generation and the catalog's fingerprint of `net`.
-    key: PlanKey,
+    batch: usize,
     mode: Mode,
     slot: Arc<Slot>,
     /// Admission sequence number, drawn by every request that passes the
@@ -319,16 +318,9 @@ pub struct ServerStats {
     pub cache: CacheStats,
 }
 
-/// A catalog network with its structural fingerprint, hashed once when
-/// the network is added instead of on every request.
-struct Cataloged {
-    net: Arc<Network>,
-    fingerprint: u64,
-}
-
 struct Inner {
     tenants: RwLock<BTreeMap<String, Arc<Workflow>>>,
-    catalog: RwLock<BTreeMap<String, Cataloged>>,
+    catalog: RwLock<BTreeMap<String, Arc<Network>>>,
     cache: SharedPlanCache,
     queue: Bounded<Job>,
     clock: Arc<dyn Clock + Send + Sync>,
@@ -391,7 +383,7 @@ impl Inner {
         let started = self.clock.now();
         let result = self
             .cache
-            .get_or_compile_keyed(job.key, &job.suite, &job.net)
+            .get_or_compile(&job.suite, &job.net, job.batch)
             .map(|plan| job.mode.price(&plan))
             .map_err(ServeError::from);
         self.completed.fetch_add(1, Ordering::Relaxed);
@@ -589,15 +581,9 @@ impl PredictionServer {
 
     /// Adds networks to the catalog clients can request by name.
     pub fn add_networks<I: IntoIterator<Item = Network>>(&self, nets: I) {
-        // Hash outside the lock: fingerprinting walks every layer.
-        let entries: Vec<(String, Cataloged)> = nets
+        let entries = nets
             .into_iter()
-            .map(|net| {
-                let fingerprint = network_fingerprint(&net);
-                let net = Arc::new(net);
-                (net.name().to_string(), Cataloged { net, fingerprint })
-            })
-            .collect();
+            .map(|net| (net.name().to_string(), Arc::new(net)));
         write_unpoisoned(&self.inner.catalog).extend(entries);
     }
 
@@ -624,15 +610,11 @@ impl PredictionServer {
             .get(tenant)
             .cloned()
             .ok_or_else(|| ServeError::UnknownTenant(tenant.to_string()))?;
-        let (net, fingerprint) = read_unpoisoned(&self.inner.catalog)
+        let net = read_unpoisoned(&self.inner.catalog)
             .get(network)
-            .map(|c| (Arc::clone(&c.net), c.fingerprint))
+            .cloned()
             .ok_or_else(|| ServeError::UnknownNetwork(network.to_string()))?;
-        let key = PlanKey {
-            generation: suite.generation(),
-            fingerprint,
-            batch,
-        };
+        let key = PlanKey::of(&suite, &net, batch);
         Ok((suite, net, key))
     }
 
@@ -671,7 +653,7 @@ impl PredictionServer {
         let job = Job {
             suite,
             net,
-            key,
+            batch,
             mode,
             slot: Arc::clone(&slot),
             seq,

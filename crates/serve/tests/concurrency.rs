@@ -205,16 +205,13 @@ fn mid_flight_invalidation_keeps_requests_deterministic() {
     assert_eq!(cache.stats().misses, misses_before);
 }
 
-/// The fleet-simulator oracle path: a `PredictionOracle` whose
-/// `PlanSource` is the shared serving cache, soaked with 10k seeded
-/// randomized ops (lookups interleaved with generation purges under a
-/// tight budget). The never-over-budget invariant must hold at every
-/// observable instant and every oracle answer must bit-match the suite's
+/// Graceful answers read from one shared cache by two suites, soaked with
+/// 10k seeded randomized ops (lookups interleaved with generation purges
+/// under a tight budget). The never-over-budget invariant must hold at
+/// every observable instant and every answer must bit-match the suite's
 /// own graceful prediction, notes included.
 #[test]
-fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
-    use dnnperf_core::{OracleSource, PredictionOracle};
-
+fn shared_cache_soaks_graceful_answers_through_purges_within_budget() {
     let suite_a = train("A100");
     let suite_b = train("V100");
     let nets = nets();
@@ -223,22 +220,13 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
     // resident — purges and evictions both reshape the cache mid-run.
     let probe = CompiledPlan::compile(&suite_a, &nets[0], 1).unwrap();
     let budget = probe.approx_bytes() * 4;
-    let cache = Arc::new(SharedPlanCache::new(&CacheConfig {
+    let cache = SharedPlanCache::new(&CacheConfig {
         shards: 2,
         budget_bytes: budget,
-    }));
-
-    let mut oracle = PredictionOracle::with_plan_source(cache.clone());
-    oracle.add_suite(Arc::clone(&suite_a));
-    oracle.add_suite(Arc::clone(&suite_b));
-    let oracle = &oracle;
+    });
 
     // Expected answers, computed through each suite's private cache so
     // disagreement can only come from the shared-cache path.
-    let gpus = [
-        GpuSpec::by_name("A100").unwrap(),
-        GpuSpec::by_name("V100").unwrap(),
-    ];
     let suites = [&suite_a, &suite_b];
     let mut want = Vec::new();
     for suite in suites {
@@ -256,7 +244,6 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let cache = &cache;
-            let gpus = &gpus;
             let nets = &nets;
             handles.push(s.spawn(move || {
                 let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ ((t as u64) << 21);
@@ -267,14 +254,17 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
                     (state >> 33) as usize
                 };
                 for op in 0..OPS / THREADS {
-                    let gi = lcg() % gpus.len();
+                    let gi = lcg() % suites.len();
                     let ni = lcg() % nets.len();
                     let bi = lcg() % BATCHES.len();
                     if lcg() % 16 == 0 {
                         // A retrain-style purge races the lookups.
                         cache.purge_generation(suites[gi].generation());
                     }
-                    let got = oracle.predict(&gpus[gi], &nets[ni], BATCHES[bi]).unwrap();
+                    let got = cache
+                        .get_or_compile(suites[gi], &nets[ni], BATCHES[bi])
+                        .unwrap()
+                        .predict_graceful();
                     let expect = &want[(gi * nets.len() + ni) * BATCHES.len() + bi];
                     assert_eq!(
                         got.seconds.to_bits(),
@@ -282,7 +272,6 @@ fn oracle_over_shared_cache_soaks_through_purges_within_budget() {
                         "thread {t} op {op}"
                     );
                     assert_eq!(got.notes, expect.notes);
-                    assert_eq!(got.source, OracleSource::CompiledPlan);
                     assert!(
                         cache.bytes() <= cache.budget_bytes(),
                         "cache {} bytes over budget {} at thread {t} op {op}",
