@@ -69,12 +69,15 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path benchmark/
 
 echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # Re-measures the serving/training hot paths with reduced iteration counts
-# and gates on machine-relative figures: warm-predict ns/kernel may not
-# regress more than 2x vs the committed baseline, and the warm sweep (one
-# plan-cache lookup per request) must stay at least 5x faster than the
-# uncompiled legacy path. A network carries its fingerprint from
-# construction, so a warm request builds its key without walking layers:
-# the baseline's ns/kernel times the lookup itself, not a hash.
+# and gates on machine-relative figures: warm-predict ns/kernel and
+# cold-walk ns/layer may not regress more than 2x vs the committed
+# baseline, and the warm sweep (one plan-cache lookup per request) must
+# stay at least 5x faster than the uncompiled legacy path. A network
+# carries its fingerprint from construction, so a warm request builds its
+# key without walking layers: the baseline's ns/kernel times the lookup
+# itself, not a hash. The cold walk is the uncached legacy sweep per
+# layer: one allocation-free kernel-map lookup plus the layer's
+# regressions, the cost every plan compile and IGKW answer pays.
 # Release build: the baseline was captured in release, and the tier-1 step
 # above has already built it.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check BENCH_5.json

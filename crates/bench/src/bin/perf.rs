@@ -12,11 +12,14 @@
 //! * **warm-vs-legacy speedup** — warm sweep vs the uncompiled
 //!   `KwModel::predict_network` on identical requests (machine-relative,
 //!   so the gate travels across hardware);
+//! * **cold-walk ns/layer** — the uncompiled sweep divided by the number
+//!   of layers it walks: one kernel-map lookup and the layer's regressions
+//!   per layer, with no cache in front;
 //! * **train speedup at 8 threads** — pooled vs serial KW training. The
 //!   training pool clamps its worker count to the machine's cores, so on
-//!   a single-core container this reads ~1.0 (graceful degradation, not
-//!   regression); the report records `cores` so the figure is
-//!   interpretable wherever the baseline was captured.
+//!   a box with fewer than [`MIN_CORES_FOR_SPEEDUP_GATE`] cores the figure
+//!   is printed as `unmeasured (N cores)`; the JSON keeps the ratio next
+//!   to `cores`.
 //!
 //! A second mode, `--train-scaling`, sweeps KW training over worker counts
 //! {1, 2, 4, 8} on an enlarged multi-network grid (BENCH_9.json). Before
@@ -36,8 +39,9 @@
 //! * `--out PATH` — write the results as one JSON document (BENCH_5.json,
 //!   or BENCH_9.json with `--train-scaling`);
 //! * `--check PATH` — re-measure, then gate against a committed baseline:
-//!   fail (exit 1) if warm-predict ns/kernel regressed by more than 2x, or
-//!   if the warm-vs-legacy speedup fell below 5x. With `--train-scaling`:
+//!   fail (exit 1) if warm-predict ns/kernel or cold-walk ns/layer
+//!   regressed by more than 2x, or if the warm-vs-legacy speedup fell
+//!   below 5x. With `--train-scaling`:
 //!   fail if the 8-thread train speedup is below 2x (cores permitting) or
 //!   if serial training ns/row regressed by more than 2x.
 
@@ -52,6 +56,8 @@ use dnnperf_gpu::GpuSpec;
 
 /// Maximum tolerated regression of warm-predict ns/kernel vs the baseline.
 const MAX_NS_PER_KERNEL_REGRESSION: f64 = 2.0;
+/// Maximum tolerated regression of cold-walk ns/layer vs the baseline.
+const MAX_NS_PER_LAYER_REGRESSION: f64 = 2.0;
 /// Minimum tolerated warm-vs-legacy speedup.
 const MIN_WARM_SPEEDUP: f64 = 5.0;
 /// Minimum tolerated 8-thread training speedup — only enforced on machines
@@ -64,6 +70,21 @@ const MIN_CORES_FOR_SPEEDUP_GATE: usize = 4;
 const MAX_TRAIN_NS_PER_ROW_REGRESSION: f64 = 2.0;
 /// Worker counts the training scaling sweep measures.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// A pooled-training speedup at `threads` workers as printed: the ratio,
+/// or `unmeasured (N cores)` when the box has fewer cores than the
+/// workers (up to [`MIN_CORES_FOR_SPEEDUP_GATE`]), where a ratio would
+/// time oversubscription rather than parallelism.
+fn speedup_text(speedup: f64, threads: usize, cores: usize) -> String {
+    if cores >= threads.min(MIN_CORES_FOR_SPEEDUP_GATE) {
+        format!("{speedup:.2}x")
+    } else {
+        format!(
+            "unmeasured ({cores} core{})",
+            if cores == 1 { "" } else { "s" }
+        )
+    }
+}
 
 fn train_nets() -> Vec<Network> {
     vec![
@@ -138,7 +159,9 @@ struct Report {
     cores: usize,
     sweep_pairs: usize,
     sweep_kernel_terms: usize,
+    sweep_layers: usize,
     warm_ns_per_kernel: f64,
+    cold_walk_ns_per_layer: f64,
     warm_vs_legacy_speedup: f64,
     train_speedup_threads8: f64,
     entries: Vec<BenchResult>,
@@ -156,9 +179,14 @@ impl Report {
             "  \"sweep_kernel_terms\": {},\n",
             self.sweep_kernel_terms
         ));
+        out.push_str(&format!("  \"sweep_layers\": {},\n", self.sweep_layers));
         out.push_str(&format!(
             "  \"warm_predict_ns_per_kernel\": {:.3},\n",
             self.warm_ns_per_kernel
+        ));
+        out.push_str(&format!(
+            "  \"cold_walk_ns_per_layer\": {:.3},\n",
+            self.cold_walk_ns_per_layer
         ));
         out.push_str(&format!(
             "  \"warm_vs_legacy_speedup\": {:.2},\n",
@@ -209,6 +237,7 @@ fn run(smoke: bool) -> Report {
         .iter()
         .map(|(n, b)| suite.plan(n, *b).expect("plan").num_terms())
         .sum();
+    let sweep_layers: usize = pairs.iter().map(|(n, _)| n.layers().len()).sum();
     suite.invalidate_plans();
 
     let (net0, batch0) = (&pairs[0].0, pairs[0].1);
@@ -240,6 +269,7 @@ fn run(smoke: bool) -> Report {
     });
 
     let warm_ns_per_kernel = warm.median_ns / sweep_kernel_terms as f64;
+    let cold_walk_ns_per_layer = legacy.median_ns / sweep_layers as f64;
     let warm_vs_legacy_speedup = legacy.median_ns / warm.median_ns;
     let train_speedup_threads8 = t1.median_ns / t8.median_ns;
     entries.insert(1, t1);
@@ -252,7 +282,9 @@ fn run(smoke: bool) -> Report {
         cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         sweep_pairs: pairs.len(),
         sweep_kernel_terms,
+        sweep_layers,
         warm_ns_per_kernel,
+        cold_walk_ns_per_layer,
         warm_vs_legacy_speedup,
         train_speedup_threads8,
         entries,
@@ -397,8 +429,8 @@ fn main_train_scaling(flags: &Flags) {
         if report.cores == 1 { "" } else { "s" },
         report.ns_per_row_threads1
     );
-    for (t, s) in SCALING_THREADS.iter().zip(report.speedups) {
-        println!("  threads {t}: {s:.2}x");
+    for (&t, s) in SCALING_THREADS.iter().zip(report.speedups) {
+        println!("  threads {t}: {}", speedup_text(s, t, report.cores));
     }
     println!("byte-identity: OK at every thread count");
 
@@ -440,8 +472,10 @@ fn main_train_scaling(flags: &Flags) {
             std::process::exit(1);
         }
         println!(
-            "gate OK: speedup@8 {:.2}x on {} core(s), serial {:.0} ns/row (baseline {:.0})",
-            report.speedups[3], report.cores, report.ns_per_row_threads1, base_ns_row
+            "gate OK: speedup@8 {}, serial {:.0} ns/row (baseline {:.0})",
+            speedup_text(report.speedups[3], 8, report.cores),
+            report.ns_per_row_threads1,
+            base_ns_row
         );
     }
 }
@@ -464,11 +498,13 @@ fn main() {
         report.warm_ns_per_kernel, report.sweep_kernel_terms, report.sweep_pairs
     );
     println!(
-        "warm vs legacy speedup: {:.2}x   train speedup (8 threads, {} core{}): {:.2}x",
+        "cold walk: {:.1} ns/layer over {} layers",
+        report.cold_walk_ns_per_layer, report.sweep_layers
+    );
+    println!(
+        "warm vs legacy speedup: {:.2}x   train speedup (8 threads): {}",
         report.warm_vs_legacy_speedup,
-        report.cores,
-        if report.cores == 1 { "" } else { "s" },
-        report.train_speedup_threads8
+        speedup_text(report.train_speedup_threads8, 8, report.cores)
     );
 
     if let Some(path) = &flags.out {
@@ -481,6 +517,8 @@ fn main() {
             .unwrap_or_else(|e| panic!("perf --check: cannot read {path}: {e}"));
         let base_ns = json_number(&baseline, "warm_predict_ns_per_kernel")
             .unwrap_or_else(|| panic!("perf --check: no warm_predict_ns_per_kernel in {path}"));
+        let base_walk = json_number(&baseline, "cold_walk_ns_per_layer")
+            .unwrap_or_else(|| panic!("perf --check: no cold_walk_ns_per_layer in {path}"));
         let mut failed = false;
         let limit = base_ns * MAX_NS_PER_KERNEL_REGRESSION;
         if report.warm_ns_per_kernel > limit {
@@ -488,6 +526,15 @@ fn main() {
                 "GATE FAIL: warm predict {:.1} ns/kernel exceeds {:.1} \
                  (baseline {:.1} x {MAX_NS_PER_KERNEL_REGRESSION})",
                 report.warm_ns_per_kernel, limit, base_ns
+            );
+            failed = true;
+        }
+        let walk_limit = base_walk * MAX_NS_PER_LAYER_REGRESSION;
+        if report.cold_walk_ns_per_layer > walk_limit {
+            eprintln!(
+                "GATE FAIL: cold walk {:.1} ns/layer exceeds {:.1} \
+                 (baseline {:.1} x {MAX_NS_PER_LAYER_REGRESSION})",
+                report.cold_walk_ns_per_layer, walk_limit, base_walk
             );
             failed = true;
         }
@@ -502,8 +549,13 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "gate OK: {:.1} ns/kernel (limit {:.1}), speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x)",
-            report.warm_ns_per_kernel, limit, report.warm_vs_legacy_speedup
+            "gate OK: {:.1} ns/kernel (limit {:.1}), {:.1} ns/layer cold walk (limit {:.1}), \
+             speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x)",
+            report.warm_ns_per_kernel,
+            limit,
+            report.cold_walk_ns_per_layer,
+            walk_limit,
+            report.warm_vs_legacy_speedup
         );
     }
 }

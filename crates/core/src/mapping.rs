@@ -9,12 +9,14 @@
 //! Keys are *per-sample* (batch-normalised) layer signatures so that a table
 //! built at the training batch size applies to any batch size. Lookups fall
 //! back to the nearest recorded signature of the same layer type (log-space
-//! distance) for shapes unseen in training.
+//! distance) for shapes unseen in training. The table is keyed by layer type
+//! first, and each recorded signature keeps its log coordinates, so a lookup
+//! allocates nothing and a miss is one scan without logarithms.
 
 use dnnperf_data::KernelRow;
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Layer;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 /// A batch-invariant description of a layer instance: its type tag plus
@@ -31,14 +33,19 @@ pub struct LayerSignature {
     pub out_per: u64,
 }
 
+/// A signature's per-sample `(in_per, flops_per, out_per)` sizes: the
+/// exact-match key inside one layer type.
+type SizeKey = (u64, u64, u64);
+
 impl LayerSignature {
     /// Computes the signature of a layer from its static structure.
     pub fn of_layer(layer: &Layer) -> Self {
+        let (in_per, flops_per, out_per) = sizes_of(layer);
         LayerSignature {
             tag: Arc::from(layer.type_tag()),
-            in_per: layer.input.elems() as u64,
-            flops_per: layer_flops(layer),
-            out_per: layer.output.elems() as u64,
+            in_per,
+            flops_per,
+            out_per,
         }
     }
 
@@ -54,32 +61,62 @@ impl LayerSignature {
         }
     }
 
-    /// Squared log-space distance to another signature (for nearest-match
-    /// fallback). Only meaningful between signatures of the same tag.
-    fn distance(&self, other: &LayerSignature) -> f64 {
-        fn d(a: u64, b: u64) -> f64 {
-            let la = ((a + 1) as f64).ln();
-            let lb = ((b + 1) as f64).ln();
-            (la - lb) * (la - lb)
-        }
-        d(self.in_per, other.in_per)
-            + d(self.flops_per, other.flops_per)
-            + d(self.out_per, other.out_per)
+    fn size_key(&self) -> SizeKey {
+        (self.in_per, self.flops_per, self.out_per)
     }
+}
+
+fn sizes_of(layer: &Layer) -> SizeKey {
+    (
+        layer.input.elems() as u64,
+        layer_flops(layer),
+        layer.output.elems() as u64,
+    )
+}
+
+/// `ln(x + 1)` of each size: the space the nearest fallback measures in.
+fn log_coords((in_per, flops_per, out_per): SizeKey) -> [f64; 3] {
+    let ln = |x: u64| ((x + 1) as f64).ln();
+    [ln(in_per), ln(flops_per), ln(out_per)]
+}
+
+/// Squared log-space distance from a query to a candidate, summed in the
+/// order in, flops, out.
+fn distance([qi, qf, qo]: [f64; 3], [ci, cf, co]: [f64; 3]) -> f64 {
+    (qi - ci) * (qi - ci) + (qf - cf) * (qf - cf) + (qo - co) * (qo - co)
 }
 
 /// The learned mapping from layer signatures to kernel name lists.
 #[derive(Debug, Clone, Default)]
 pub struct KernelMap {
-    exact: BTreeMap<LayerSignature, Vec<Arc<str>>>,
-    by_tag: BTreeMap<Arc<str>, Vec<LayerSignature>>,
+    by_tag: BTreeMap<Arc<str>, TagTable>,
+}
+
+/// The recorded signatures of one layer type.
+#[derive(Debug, Clone, Default)]
+struct TagTable {
+    /// Exact-match index: size key -> position in `entries`.
+    index: BTreeMap<SizeKey, usize>,
+    /// The nearest fallback's candidates, in insertion order.
+    entries: Vec<Recorded>,
+}
+
+#[derive(Debug, Clone)]
+struct Recorded {
+    sig: LayerSignature,
+    kernels: Vec<Arc<str>>,
+    /// [`log_coords`] of the signature, taken once at insert.
+    coords: [f64; 3],
 }
 
 impl PartialEq for KernelMap {
     fn eq(&self, other: &Self) -> bool {
-        // `by_tag` is a derived index whose per-tag ordering depends on
-        // insertion order; semantic equality is the exact table alone.
-        self.exact == other.exact
+        // Equality compares the recorded entries, not the candidate order
+        // (insertion order, which differs between a trained map and its
+        // loaded copy). That order does decide exact distance ties in the
+        // nearest fallback, so equal maps may answer a tied miss
+        // differently.
+        self.entries().eq(other.entries())
     }
 }
 
@@ -131,73 +168,81 @@ impl KernelMap {
 
     /// Inserts one signature -> kernel-list entry (first write wins).
     pub fn insert(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
-        if !self.exact.contains_key(&sig) {
-            self.by_tag
-                .entry(sig.tag.clone())
-                .or_default()
-                .push(sig.clone());
-            self.exact.insert(sig, kernels);
+        let table = self.by_tag.entry(sig.tag.clone()).or_default();
+        let key = sig.size_key();
+        if let btree_map::Entry::Vacant(slot) = table.index.entry(key) {
+            slot.insert(table.entries.len());
+            table.entries.push(Recorded {
+                sig,
+                kernels,
+                coords: log_coords(key),
+            });
         }
     }
 
-    /// Merges another table into this one (first write wins per signature).
+    /// Merges another table into this one (first write wins per signature),
+    /// inserting the other table's entries in [`LayerSignature`] order.
     pub fn merge(&mut self, other: KernelMap) {
-        for (sig, kernels) in other.exact {
-            self.insert(sig, kernels);
+        for table in other.by_tag.into_values() {
+            let mut entries = table.entries;
+            // One tag per table, so the size key is the signature order.
+            entries.sort_unstable_by_key(|e| e.sig.size_key());
+            for e in entries {
+                self.insert(e.sig, e.kernels);
+            }
         }
     }
 
     /// Number of distinct signatures recorded.
     pub fn len(&self) -> usize {
-        self.exact.len()
+        self.by_tag.values().map(|t| t.entries.len()).sum()
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
+        self.by_tag.is_empty()
     }
 
-    /// Iterates over all recorded (signature, kernel list) entries
-    /// (unordered).
+    /// Iterates over all recorded (signature, kernel list) entries in
+    /// [`LayerSignature`] order.
     pub fn entries(&self) -> impl Iterator<Item = (&LayerSignature, &[Arc<str>])> {
-        self.exact
-            .iter()
-            .map(|(sig, kernels)| (sig, kernels.as_slice()))
+        self.by_tag
+            .values()
+            .flat_map(|t| t.index.values().filter_map(|&i| t.entries.get(i)))
+            .map(|e| (&e.sig, e.kernels.as_slice()))
     }
 
     /// Looks up the kernel list for a layer: exact signature match first,
-    /// then the nearest recorded signature of the same layer type.
+    /// then the nearest recorded signature of the same layer type (the
+    /// first recorded one on an exact distance tie). Allocates nothing.
     ///
     /// Returns `None` if no layer of this type was ever recorded — which,
     /// for types like `flatten` that launch no kernels, is the correct
     /// "free" answer.
     pub fn kernels_for(&self, layer: &Layer) -> Option<&[Arc<str>]> {
-        let sig = LayerSignature::of_layer(layer);
-        if let Some(k) = self.exact.get(&sig) {
-            return Some(k);
-        }
-        let candidates = self.by_tag.get(&sig.tag)?;
-        let nearest = candidates
-            .iter()
-            .min_by(|a, b| sig.distance(a).total_cmp(&sig.distance(b)))?;
-        self.exact.get(nearest).map(Vec::as_slice)
+        let table = self.by_tag.get(layer.type_tag())?;
+        let key = sizes_of(layer);
+        let found = match table.index.get(&key) {
+            Some(&i) => table.entries.get(i),
+            None => {
+                let q = log_coords(key);
+                table
+                    .entries
+                    .iter()
+                    .map(|e| (distance(q, e.coords), e))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .map(|(_, e)| e)
+            }
+        };
+        found.map(|e| e.kernels.as_slice())
     }
 }
 
 impl KernelMap {
     /// Serializes the table (persistence; deterministic order).
     pub(crate) fn write_text(&self, out: &mut String) {
-        let mut entries: Vec<_> = self.exact.iter().collect();
-        entries.sort_by(|a, b| {
-            (&a.0.tag, a.0.in_per, a.0.flops_per, a.0.out_per).cmp(&(
-                &b.0.tag,
-                b.0.in_per,
-                b.0.flops_per,
-                b.0.out_per,
-            ))
-        });
-        out.push_str(&format!("map {}\n", entries.len()));
-        for (sig, kernels) in entries {
+        out.push_str(&format!("map {}\n", self.len()));
+        for (sig, kernels) in self.entries() {
             out.push_str(&format!(
                 "sig {} {} {} {} {}",
                 sig.tag,
@@ -287,18 +332,13 @@ mod tests {
         let net = zoo::resnet::resnet18();
         let map16 = a100_map(std::slice::from_ref(&net), 16);
         let map64 = a100_map(std::slice::from_ref(&net), 64);
-        let keys = |m: &KernelMap| {
-            let mut v: Vec<LayerSignature> = m.exact.keys().cloned().collect();
-            // Cache the sort key: the comparator version allocated two
-            // format! strings per comparison (O(n log n) allocations).
-            v.sort_by_cached_key(|s| format!("{s:?}"));
-            v
-        };
+        let keys = |m: &KernelMap| m.entries().map(|(s, _)| s.clone()).collect::<Vec<_>>();
         assert_eq!(keys(&map16), keys(&map64));
         // And structural signatures hit the table exactly.
+        let recorded = keys(&map16);
         for layer in net.layers() {
             let sig = LayerSignature::of_layer(layer);
-            let in_map = map16.exact.contains_key(&sig);
+            let in_map = recorded.contains(&sig);
             let has_kernels = !dnnperf_gpu::dispatch::dispatch_layer(layer, 1).is_empty();
             assert_eq!(in_map, has_kernels, "{layer:?}");
         }

@@ -1,10 +1,14 @@
 //! Persistence integration tests: every trained model round-trips through
 //! the text format exactly, and malformed inputs fail cleanly (no panics).
 
-use dnnperf_core::{E2eModel, IgkwModel, KwModel, LwModel, PersistError, Predictor};
+use dnnperf_core::{
+    E2eModel, IgkwModel, KernelMap, KwModel, LayerSignature, LwModel, PersistError, Predictor,
+};
 use dnnperf_data::collect::collect;
 use dnnperf_data::Dataset;
+use dnnperf_dnn::Network;
 use dnnperf_gpu::GpuSpec;
+use std::collections::BTreeSet;
 
 fn dataset() -> Dataset {
     let nets = [
@@ -19,6 +23,23 @@ fn dataset() -> Dataset {
         GpuSpec::by_name("V100").unwrap(),
     ];
     collect(&nets, &gpus, &[32])
+}
+
+/// A network outside [`dataset`] whose layers reach the nearest-signature
+/// fallback of `map` (the training set's signatures are the same on every
+/// GPU, so one GPU's map stands for all of them).
+fn off_table_net(map: &KernelMap) -> Network {
+    let net = dnnperf_dnn::zoo::mobilenet::mobilenet_v2(1.4, 1.0);
+    let recorded: BTreeSet<&LayerSignature> = map.entries().map(|(sig, _)| sig).collect();
+    let tags: BTreeSet<&str> = recorded.iter().map(|sig| &*sig.tag).collect();
+    let misses = net
+        .layers()
+        .iter()
+        .map(LayerSignature::of_layer)
+        .filter(|sig| tags.contains(&*sig.tag) && !recorded.contains(sig))
+        .count();
+    assert!(misses > 10, "only {misses} layers miss the table");
+    net
 }
 
 #[test]
@@ -47,6 +68,16 @@ fn kw_round_trips_exactly_and_predicts_identically() {
         m.predict_network(&net, 64).unwrap(),
         back.predict_network(&net, 64).unwrap()
     );
+    // Off the table: the loaded map rebuilds its candidates in file order,
+    // the trained one in row order, and both must pick the same neighbour.
+    let off = off_table_net(m.mapping());
+    for batch in [1, 16, 256] {
+        assert_eq!(
+            m.predict_network(&off, batch).unwrap().to_bits(),
+            back.predict_network(&off, batch).unwrap().to_bits(),
+            "batch {batch}"
+        );
+    }
     // Serialization is deterministic.
     assert_eq!(text, back.to_text());
 }
@@ -67,6 +98,18 @@ fn igkw_round_trips_exactly_and_predicts_identically() {
         m.predict_network_on(&net, 64, &titan).unwrap(),
         back.predict_network_on(&net, 64, &titan).unwrap()
     );
+    // The IGKW map merges the per-GPU maps, so its candidates come in
+    // signature order per GPU; the loaded copy's come in file order.
+    let off = off_table_net(KwModel::train(&ds, "A100").unwrap().mapping());
+    for batch in [1, 16, 256] {
+        assert_eq!(
+            m.predict_network_on(&off, batch, &titan).unwrap().to_bits(),
+            back.predict_network_on(&off, batch, &titan)
+                .unwrap()
+                .to_bits(),
+            "batch {batch}"
+        );
+    }
 }
 
 #[test]

@@ -1,10 +1,14 @@
 //! Property-based tests for the predictor stack's invariants.
 
-use dnnperf_core::{classify_kernels, cluster_kernels, KernelMap, KwModel, Predictor};
+use dnnperf_core::{
+    classify_kernels, cluster_kernels, KernelMap, KwModel, LayerSignature, Predictor,
+};
 use dnnperf_data::collect::collect;
 use dnnperf_data::KernelRow;
+use dnnperf_dnn::{ActivationFn, Conv2d, Layer, LayerKind, TensorShape};
 use dnnperf_gpu::GpuSpec;
 use dnnperf_testkit::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn arb_rows() -> impl Gen<Value = Vec<KernelRow>> {
@@ -279,5 +283,215 @@ fn kw_prediction_is_monotone_in_batch() {
             "prediction decreased at batch {bs}: {last} -> {t}"
         );
         last = t;
+    }
+}
+
+/// The reference for [`KernelMap::kernels_for`], written the direct way:
+/// an exact `BTreeMap` keyed by the whole signature, and a `min_by` over
+/// the tag's insertion-ordered candidates that takes every logarithm again
+/// at each comparison.
+#[derive(Default)]
+struct ReferenceMap {
+    exact: BTreeMap<LayerSignature, Vec<Arc<str>>>,
+    by_tag: BTreeMap<Arc<str>, Vec<LayerSignature>>,
+}
+
+impl ReferenceMap {
+    fn insert(&mut self, sig: LayerSignature, kernels: Vec<Arc<str>>) {
+        if !self.exact.contains_key(&sig) {
+            self.by_tag
+                .entry(sig.tag.clone())
+                .or_default()
+                .push(sig.clone());
+            self.exact.insert(sig, kernels);
+        }
+    }
+
+    fn merge(&mut self, other: ReferenceMap) {
+        for (sig, kernels) in other.exact {
+            self.insert(sig, kernels);
+        }
+    }
+
+    fn kernels_for(&self, layer: &Layer) -> Option<&[Arc<str>]> {
+        let sig = LayerSignature::of_layer(layer);
+        if let Some(k) = self.exact.get(&sig) {
+            return Some(k);
+        }
+        let nearest = self
+            .by_tag
+            .get(&sig.tag)?
+            .iter()
+            .min_by(|a, b| distance(&sig, a).total_cmp(&distance(&sig, b)))?;
+        self.exact.get(nearest).map(Vec::as_slice)
+    }
+}
+
+/// The reference map's squared log-space distance.
+fn distance(a: &LayerSignature, b: &LayerSignature) -> f64 {
+    fn d(a: u64, b: u64) -> f64 {
+        let la = ((a + 1) as f64).ln();
+        let lb = ((b + 1) as f64).ln();
+        (la - lb) * (la - lb)
+    }
+    d(a.in_per, b.in_per) + d(a.flops_per, b.flops_per) + d(a.out_per, b.out_per)
+}
+
+/// A size spread over six decades, from a small pool so that recorded
+/// signatures repeat and distances tie.
+fn arb_size() -> impl Gen<Value = u64> {
+    (1u64..6, 0u32..3).prop_map(|(x, e)| x * 1000u64.pow(e))
+}
+
+/// A recorded signature; `pool` is a tag no query layer has.
+fn arb_sig() -> impl Gen<Value = LayerSignature> {
+    (
+        select(vec!["act", "bn", "conv", "pool"]),
+        arb_size(),
+        arb_size(),
+        arb_size(),
+    )
+        .prop_map(|(tag, in_per, flops_per, out_per)| LayerSignature {
+            tag: Arc::from(tag),
+            in_per,
+            flops_per,
+            out_per,
+        })
+}
+
+/// A query layer: ReLU, batch norm, convolution, or a global average pool
+/// (`gap`, a tag no recorded signature has).
+fn arb_layer() -> impl Gen<Value = Layer> {
+    (0usize..4, arb_size(), 1usize..6, 1usize..6).prop_map(|(kind, size, a, b)| {
+        let n = size as usize;
+        let (kind, input) = match kind {
+            0 => (
+                LayerKind::Activation(ActivationFn::Relu),
+                TensorShape::features(n),
+            ),
+            1 => (LayerKind::BatchNorm, TensorShape::chw(n, a, b)),
+            2 => (
+                LayerKind::Conv2d(Conv2d::square(a, b, 3, 1, 1)),
+                TensorShape::chw(a, b + 2, n % 7 + 1),
+            ),
+            _ => (LayerKind::GlobalAvgPool, TensorShape::chw(a, b, n % 5 + 1)),
+        };
+        Layer::apply(kind, input).unwrap()
+    })
+}
+
+/// Interleaves the recorded signatures with the signatures of the queries
+/// flagged in `hits` (so those queries hit exactly), each with a kernel
+/// list of its own.
+fn insertion_order(
+    sigs: &[LayerSignature],
+    queries: &[Layer],
+    hits: &[bool],
+) -> Vec<(LayerSignature, Vec<Arc<str>>)> {
+    let mut order = Vec::new();
+    for i in 0..sigs.len().max(queries.len()) {
+        order.extend(sigs.get(i).cloned());
+        if hits.get(i) == Some(&true) {
+            order.extend(queries.get(i).map(LayerSignature::of_layer));
+        }
+    }
+    order
+        .into_iter()
+        .enumerate()
+        .map(|(i, sig)| (sig, vec![Arc::from(format!("k{i}"))]))
+        .collect()
+}
+
+fn build(entries: &[(LayerSignature, Vec<Arc<str>>)]) -> (KernelMap, ReferenceMap) {
+    let (mut map, mut reference) = (KernelMap::default(), ReferenceMap::default());
+    for (sig, kernels) in entries {
+        map.insert(sig.clone(), kernels.clone());
+        reference.insert(sig.clone(), kernels.clone());
+    }
+    (map, reference)
+}
+
+props! {
+    #[test]
+    fn kernel_map_lookup_matches_the_reference(
+        sigs in vec(arb_sig(), 0..60),
+        queries in vec(arb_layer(), 1..30),
+        hits in vec(any_bool(), 30),
+    ) {
+        let (map, reference) = build(&insertion_order(&sigs, &queries, &hits));
+        prop_assert_eq!(map.len(), reference.exact.len());
+        for layer in &queries {
+            prop_assert_eq!(map.kernels_for(layer), reference.kernels_for(layer), "{layer:?}");
+        }
+    }
+
+    #[test]
+    fn merged_kernel_map_lookup_matches_the_reference(
+        left in vec(arb_sig(), 0..40),
+        right in vec(arb_sig(), 0..40),
+        queries in vec(arb_layer(), 1..30),
+        hits in vec(any_bool(), 30),
+    ) {
+        // The right-hand map is inserted into the left in signature order,
+        // which decides ties among the candidates it adds.
+        let entries = insertion_order(&right, &queries, &hits);
+        let (mut map, mut reference) = build(&insertion_order(&left, &[], &[]));
+        let (other_map, other_reference) = build(&entries);
+        map.merge(other_map);
+        reference.merge(other_reference);
+        prop_assert_eq!(map.len(), reference.exact.len());
+        for layer in &queries {
+            prop_assert_eq!(map.kernels_for(layer), reference.kernels_for(layer), "{layer:?}");
+        }
+    }
+
+    #[test]
+    fn nearest_ties_go_to_the_first_recorded_signature(
+        size in arb_size(),
+        other in arb_size(),
+        rotation in 0usize..3,
+        decoys in vec(arb_sig(), 0..20),
+    ) {
+        // A ReLU's signature is (x, x, x), so moving any one coordinate to
+        // the same `other` value gives three candidates at bit-equal
+        // distances from it.
+        if size != other {
+            let layer = Layer::apply(
+                LayerKind::Activation(ActivationFn::Relu),
+                TensorShape::features(size as usize),
+            )
+            .unwrap();
+            let sig = |s: [u64; 3]| LayerSignature {
+                tag: Arc::from("act"),
+                in_per: s[0],
+                flops_per: s[1],
+                out_per: s[2],
+            };
+            let mut tied = vec![
+                sig([other, size, size]),
+                sig([size, other, size]),
+                sig([size, size, other]),
+            ];
+            tied.rotate_left(rotation);
+            let query = LayerSignature::of_layer(&layer);
+            let tie = distance(&query, &tied[0]);
+            for t in &tied {
+                prop_assert_eq!(distance(&query, t).to_bits(), tie.to_bits());
+            }
+            // Decoys come after the tied three, so they win only by being
+            // strictly nearer.
+            let decoys: Vec<LayerSignature> = decoys.into_iter().filter(|d| *d != query).collect();
+            let nearer_decoy = decoys
+                .iter()
+                .any(|d| d.tag == query.tag && distance(&query, d) < tie);
+            tied.extend(decoys);
+            let (map, reference) = build(&insertion_order(&tied, &[], &[]));
+            let got = map.kernels_for(&layer);
+            prop_assert_eq!(got, reference.kernels_for(&layer));
+            if !nearer_decoy {
+                let first: &[Arc<str>] = &[Arc::from("k0")];
+                prop_assert_eq!(got, Some(first));
+            }
+        }
     }
 }
