@@ -72,7 +72,11 @@ echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # and gates on machine-relative figures: warm-predict ns/kernel and
 # cold-walk ns/layer may not regress more than 2x vs the committed
 # baseline, and the warm sweep (one plan-cache lookup per request) must
-# stay at least 5x faster than the uncompiled legacy path. A network
+# stay at least 5x faster than the uncompiled legacy path. The sweep's
+# pair, layer and kernel-term counts must match the baseline exactly: a
+# per-kernel or per-layer figure compares only over the same work. Like
+# every gate below, the bin checks the baseline's schema and gated keys
+# before it measures anything. A network
 # carries its fingerprint from construction, so a warm request builds its
 # key without walking layers: the baseline's ns/kernel times the lookup
 # itself, not a hash. The cold walk is the uncached legacy sweep per
@@ -85,17 +89,19 @@ cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check 
 echo "==> train-scaling gate (smoke profile vs committed BENCH_9.json)"
 # Sweeps KW training over worker counts {1,2,4,8} on an enlarged grid.
 # Determinism is a hard abort inside the bin: the serialized model must be
-# byte-identical at every thread count before anything is timed. The perf
-# gate is machine-aware: boxes with >= 4 cores must show >= 2x speedup at
-# 8 threads; smaller boxes gate serial ns/row against the baseline instead.
+# byte-identical at every thread count before anything is timed. The
+# grid's row and kernel-group counts must match the baseline exactly. The
+# perf gate is machine-aware: boxes with >= 4 cores must show >= 2x
+# speedup at 8 threads; smaller boxes gate serial ns/row at most 2x the
+# baseline instead.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --train-scaling --smoke --check BENCH_9.json
 
 echo "==> serving load gate (smoke profile vs committed BENCH_6.json)"
 # End-to-end server smoke + regression gate in one step: boots the
-# prediction server on an ephemeral port, drives 100+ concurrent TCP
-# clients over the full zoo, shuts down cleanly, and gates on zero
-# client-observed errors, p99 latency within 6x of the committed
-# baseline, and throughput above baseline/6 (machine-relative).
+# prediction server on an ephemeral port, drives at least 100 concurrent
+# TCP clients over the full zoo, shuts down cleanly, and gates on zero
+# client-observed errors, p99 latency at most 6x the committed baseline,
+# and throughput at least baseline/6 (machine-relative).
 cargo run --release --offline -q -p dnnperf-bench --bin loadgen -- --smoke --check BENCH_6.json
 
 echo "==> chaos soak gate (deterministic fault injection vs committed BENCH_8.json)"
@@ -113,8 +119,28 @@ echo "==> fleet sweep reproducibility gate (vs committed BENCH_7.json)"
 # ambient randomness): every point is simulated twice and must replay
 # byte-identically and conserve every request (the bin aborts
 # otherwise), and the figures must match the committed baseline —
-# request counts exactly, float figures within 1e-6 relative.
+# request counts exactly, float figures within 1e-6 relative plus 1e-6
+# absolute.
 cargo run --release --offline -q -p dnnperf-bench --bin fleet -- --smoke --check BENCH_7.json
+
+echo "==> the gates can fail (doctored BENCH_7.json and BENCH_8.json)"
+# A gate that cannot fail proves nothing. Copies of the fleet and chaos
+# baselines with one count raised by 1 must make the exact-count gates
+# exit 1 (not 0, and not a panic) and name the doctored key. Each bin
+# runs in about a second.
+mkdir -p target
+expect_gate_fail() { # bin, baseline, key
+    local doctored="target/doctored-$2" status=0
+    awk -v key="\"$3\":" '$1 == key { $2 = $2 + 1 "," } 1' "$2" > "$doctored"
+    cargo run --release --offline -q -p dnnperf-bench --bin "$1" -- --smoke --check "$doctored" \
+        > "$doctored.log" 2>&1 || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "^GATE FAIL: $3 = " "$doctored.log"; then
+        echo "$1 --check did not reject $doctored (exit $status)" >&2
+        exit 1
+    fi
+}
+expect_gate_fail fleet BENCH_7.json r250_rr_none_offered
+expect_gate_fail chaos BENCH_8.json transport_ok
 
 echo "==> rustfmt"
 cargo fmt --all -- --check

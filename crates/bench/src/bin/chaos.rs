@@ -28,11 +28,11 @@
 //!
 //! * `--smoke` — fewer clients/requests for CI;
 //! * `--out PATH` — write the counters as one JSON document (BENCH_8.json);
-//! * `--check PATH` — re-run, then gate against a committed baseline:
-//!   every counter must match exactly; the prediction checksum must match
-//!   to 1e-6 relative.
+//! * `--check PATH` — validate the baseline, re-run, then gate against it
+//!   row by row (see [`table`]): every counter must match exactly; the
+//!   prediction checksum must match to 1e-6 relative.
 
-use dnnperf_bench::json_number;
+use dnnperf_bench::report::{Bound, Flags, Format, Row, Table};
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -59,41 +59,8 @@ const PANIC_SEED: u64 = 0xD15E_A5E5;
 const PANIC_RATE: f64 = 0.12;
 /// Attempts (including reconnects) before a transport client gives up.
 const MAX_ATTEMPTS: usize = 32;
-/// Relative tolerance for the float gate.
+/// Relative tolerance for the checksum gate.
 const FLOAT_RTOL: f64 = 1e-6;
-
-struct Flags {
-    smoke: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        out: None,
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else {
-                    eprintln!("chaos: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("FATAL: {msg}");
@@ -556,134 +523,64 @@ fn run_panics(suite: &Arc<Workflow>, smoke: bool) -> PanicOutcome {
 // -- report + gate ------------------------------------------------------------
 
 struct Report {
-    profile: &'static str,
     transport: TransportOutcome,
     panics: PanicOutcome,
     elapsed_ms: f64,
 }
 
-impl Report {
-    fn to_json(&self) -> String {
-        let t = &self.transport;
-        let p = &self.panics;
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-8\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"transport_clients\": {},\n", t.clients));
-        out.push_str(&format!(
-            "  \"transport_requests_per_client\": {},\n",
-            t.requests_per_client
-        ));
-        out.push_str(&format!("  \"transport_ok\": {},\n", t.ok));
-        out.push_str(&format!("  \"transport_rejected\": {},\n", t.rejected));
-        out.push_str(&format!("  \"transport_gave_up\": {},\n", t.gave_up));
-        out.push_str(&format!(
-            "  \"transport_connections\": {},\n",
-            t.connections
-        ));
-        out.push_str(&format!("  \"transport_torn\": {},\n", t.faults.torn));
-        out.push_str(&format!(
-            "  \"transport_corrupted\": {},\n",
-            t.faults.corrupted
-        ));
-        out.push_str(&format!("  \"transport_stalled\": {},\n", t.faults.stalled));
-        out.push_str(&format!(
-            "  \"transport_disconnected\": {},\n",
-            t.faults.disconnected
-        ));
-        out.push_str(&format!("  \"transport_admitted\": {},\n", t.admitted));
-        out.push_str(&format!("  \"transport_completed\": {},\n", t.completed));
-        out.push_str(&format!(
-            "  \"transport_checksum_s\": {:.12e},\n",
-            t.checksum
-        ));
-        out.push_str(&format!("  \"panic_clients\": {},\n", p.clients));
-        out.push_str(&format!(
-            "  \"panic_requests_per_client\": {},\n",
-            p.requests_per_client
-        ));
-        out.push_str(&format!("  \"panic_ok\": {},\n", p.ok));
-        out.push_str(&format!("  \"panic_internal\": {},\n", p.internal));
-        out.push_str(&format!("  \"panic_deadline_shed\": {},\n", p.deadline));
-        out.push_str(&format!("  \"panic_admitted\": {},\n", p.admitted));
-        out.push_str(&format!("  \"panic_completed\": {},\n", p.completed));
-        out.push_str(&format!("  \"panic_panicked\": {},\n", p.panicked));
-        out.push_str(&format!("  \"panic_respawns\": {},\n", p.respawns));
-        out.push_str(&format!("  \"elapsed_ms\": {:.1}\n", self.elapsed_ms));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Every gated key: `(name, value, exact)`. Exact keys are counters
-    /// and must match the baseline bit-for-bit; the rest gate at
-    /// [`FLOAT_RTOL`]. `elapsed_ms` is machine-speed and never gated.
-    fn gated(&self) -> Vec<(&'static str, f64, bool)> {
-        let t = &self.transport;
-        let p = &self.panics;
+/// BENCH_8. Every counter is schedule-determined, so it must match the
+/// baseline exactly; the checksum gates at [`FLOAT_RTOL`]; `elapsed_ms` is
+/// machine speed and never gated.
+fn table() -> Table<Report> {
+    type R = Row<Report>;
+    let exact =
+        |key: &'static str, value: fn(&Report) -> u64| R::int(key, value).gate(Bound::Exact);
+    Table::new(
+        "dnnperf-bench-8",
         vec![
-            ("transport_clients", t.clients as f64, true),
-            (
-                "transport_requests_per_client",
-                t.requests_per_client as f64,
-                true,
-            ),
-            ("transport_ok", t.ok as f64, true),
-            ("transport_rejected", t.rejected as f64, true),
-            ("transport_gave_up", t.gave_up as f64, true),
-            ("transport_connections", t.connections as f64, true),
-            ("transport_torn", t.faults.torn as f64, true),
-            ("transport_corrupted", t.faults.corrupted as f64, true),
-            ("transport_stalled", t.faults.stalled as f64, true),
-            ("transport_disconnected", t.faults.disconnected as f64, true),
-            ("transport_admitted", t.admitted as f64, true),
-            ("transport_completed", t.completed as f64, true),
-            ("transport_checksum_s", t.checksum, false),
-            ("panic_clients", p.clients as f64, true),
-            (
-                "panic_requests_per_client",
-                p.requests_per_client as f64,
-                true,
-            ),
-            ("panic_ok", p.ok as f64, true),
-            ("panic_internal", p.internal as f64, true),
-            ("panic_deadline_shed", p.deadline as f64, true),
-            ("panic_admitted", p.admitted as f64, true),
-            ("panic_completed", p.completed as f64, true),
-            ("panic_panicked", p.panicked as f64, true),
-            ("panic_respawns", p.respawns as f64, true),
-        ]
-    }
-}
-
-fn check_baseline(report: &Report, path: &str) {
-    let baseline = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("chaos --check: cannot read {path}: {e}"));
-    let mut failed = false;
-    for (key, actual, exact) in report.gated() {
-        let Some(expected) = json_number(&baseline, key) else {
-            eprintln!("GATE FAIL: no {key} in {path}");
-            failed = true;
-            continue;
-        };
-        let ok = if exact {
-            actual == expected
-        } else {
-            (actual - expected).abs() <= FLOAT_RTOL * expected.abs().max(1e-300)
-        };
-        if !ok {
-            eprintln!("GATE FAIL: {key} = {actual} vs baseline {expected}");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("gate OK: every counter matched {path} (floats to {FLOAT_RTOL:.0e} rel)");
+            exact("transport_clients", |r| r.transport.clients as u64),
+            exact("transport_requests_per_client", |r| {
+                r.transport.requests_per_client as u64
+            }),
+            exact("transport_ok", |r| r.transport.ok),
+            exact("transport_rejected", |r| r.transport.rejected),
+            exact("transport_gave_up", |r| r.transport.gave_up),
+            exact("transport_connections", |r| r.transport.connections),
+            exact("transport_torn", |r| r.transport.faults.torn),
+            exact("transport_corrupted", |r| r.transport.faults.corrupted),
+            exact("transport_stalled", |r| r.transport.faults.stalled),
+            exact("transport_disconnected", |r| {
+                r.transport.faults.disconnected
+            }),
+            exact("transport_admitted", |r| r.transport.admitted),
+            exact("transport_completed", |r| r.transport.completed),
+            R::new("transport_checksum_s", Format::Exp(12), |r| {
+                r.transport.checksum
+            })
+            .gate(Bound::Within {
+                rel: FLOAT_RTOL,
+                abs: 0.0,
+            }),
+            exact("panic_clients", |r| r.panics.clients as u64),
+            exact("panic_requests_per_client", |r| {
+                r.panics.requests_per_client as u64
+            }),
+            exact("panic_ok", |r| r.panics.ok),
+            exact("panic_internal", |r| r.panics.internal),
+            exact("panic_deadline_shed", |r| r.panics.deadline),
+            exact("panic_admitted", |r| r.panics.admitted),
+            exact("panic_completed", |r| r.panics.completed),
+            exact("panic_panicked", |r| r.panics.panicked),
+            exact("panic_respawns", |r| r.panics.respawns),
+            R::fixed("elapsed_ms", 1, |r| r.elapsed_ms),
+        ],
+    )
 }
 
 fn main() {
-    let flags = parse_flags();
+    let flags = Flags::parse("chaos", &[]);
+    let table = table();
+    let baseline = table.baseline(&flags);
     dnnperf_bench::banner(
         "CHAOS",
         "deterministic fault-injection soak for the serving layer",
@@ -721,7 +618,6 @@ fn main() {
     done.store(true, Ordering::Release);
 
     let report = Report {
-        profile: if flags.smoke { "smoke" } else { "full" },
         transport,
         panics,
         elapsed_ms,
@@ -737,11 +633,17 @@ fn main() {
         report.elapsed_ms
     );
 
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-    if let Some(path) = &flags.check {
-        check_baseline(&report, path);
+    table.publish(&flags, &report, &[], baseline);
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
+        let doc = std::fs::read_to_string(path).expect("committed baseline");
+        super::table()
+            .validate("BENCH_8.json", doc)
+            .expect("BENCH_8");
     }
 }

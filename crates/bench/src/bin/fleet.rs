@@ -20,9 +20,10 @@
 //! * `--smoke` — same sweep (the sim is already cheap; training
 //!   dominates), kept for CI symmetry with the other gates;
 //! * `--out PATH` — write the figures as one JSON document (BENCH_7.json);
-//! * `--check PATH` — re-run and gate against a committed baseline.
+//! * `--check PATH` — validate the baseline, re-run and gate against it
+//!   row by row (see [`table`]).
 
-use dnnperf_bench::json_number;
+use dnnperf_bench::report::{self, Bound, Flags, Row, Table};
 use dnnperf_core::{IgkwModel, PredictionOracle, Workflow};
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Network};
@@ -35,46 +36,16 @@ use dnnperf_simkit::{
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Relative tolerance for float figures vs the baseline: deterministic
-/// modulo libm differences, so this is tight.
-const FLOAT_RTOL: f64 = 1e-6;
+/// Tolerance for float figures vs the baseline, relative plus absolute:
+/// deterministic modulo libm differences, so this is tight.
+const FLOAT_TOL: Bound = Bound::Within {
+    rel: 1e-6,
+    abs: 1e-6,
+};
 
 const RATES: [f64; 3] = [250.0, 500.0, 1000.0];
 const SEED: u64 = 1701;
 const HORIZON: f64 = 0.4;
-
-struct Flags {
-    smoke: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        out: None,
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else {
-                    eprintln!("fleet: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
 
 fn catalog() -> Vec<Network> {
     vec![
@@ -187,139 +158,128 @@ fn combos() -> Vec<Combo> {
     ]
 }
 
-struct Point {
-    key: String,
-    report: FleetReport,
+/// The sweep points in report order: every offered rate × policy combo.
+fn grid() -> Vec<(f64, Combo)> {
+    RATES
+        .iter()
+        .flat_map(|&rate| combos().into_iter().map(move |combo| (rate, combo)))
+        .collect()
 }
 
-fn sweep(oracle: &PredictionOracle) -> (Vec<Point>, f64) {
+/// The prefix of a point's keys in the report.
+fn point_key(rate: f64, combo: &Combo) -> String {
+    format!("r{}_{}", rate as u64, combo.tag)
+}
+
+struct Sweep {
+    /// One report per [`grid`] point, in grid order.
+    points: Vec<FleetReport>,
+    wall_ms: f64,
+}
+
+fn sweep(oracle: &PredictionOracle) -> Sweep {
     let catalog = catalog();
     let cfg = fleet_config();
     let mut points = Vec::new();
     let started = Instant::now();
-    for &rate in &RATES {
-        for combo in combos() {
-            let wl = WorkloadSpec {
-                classes: classes(),
-                arrivals: ArrivalProcess::Poisson { rate_rps: rate },
-                seed: SEED,
-                horizon_seconds: HORIZON,
-            };
-            let run = || {
-                simulate_fleet(
-                    &catalog,
-                    &wl,
-                    &cfg,
-                    (combo.placement)().as_mut(),
-                    (combo.batching)().as_ref(),
-                    oracle,
-                )
-                .expect("fleet point")
-            };
-            let a = run();
-            let b = run();
-            // Hard correctness gates, --check or not: the two runs must
-            // replay byte-identically and conserve every request.
-            if a.to_json() != b.to_json() {
-                eprintln!("FATAL: replay diverged at rate {rate} combo {}", combo.tag);
-                std::process::exit(1);
-            }
-            if !a.conservation_ok() {
-                eprintln!(
-                    "FATAL: conservation violated at rate {rate} combo {}: {a:?}",
-                    combo.tag
-                );
-                std::process::exit(1);
-            }
-            points.push(Point {
-                key: format!("r{}_{}", rate as u64, combo.tag),
-                report: a,
-            });
+    for (rate, combo) in grid() {
+        let wl = WorkloadSpec {
+            classes: classes(),
+            arrivals: ArrivalProcess::Poisson { rate_rps: rate },
+            seed: SEED,
+            horizon_seconds: HORIZON,
+        };
+        let run = || {
+            simulate_fleet(
+                &catalog,
+                &wl,
+                &cfg,
+                (combo.placement)().as_mut(),
+                (combo.batching)().as_ref(),
+                oracle,
+            )
+            .expect("fleet point")
+        };
+        let a = run();
+        let b = run();
+        // Hard correctness gates, --check or not: the two runs must
+        // replay byte-identically and conserve every request.
+        if a.to_json() != b.to_json() {
+            eprintln!("FATAL: replay diverged at rate {rate} combo {}", combo.tag);
+            std::process::exit(1);
         }
+        if !a.conservation_ok() {
+            eprintln!(
+                "FATAL: conservation violated at rate {rate} combo {}: {a:?}",
+                combo.tag
+            );
+            std::process::exit(1);
+        }
+        points.push(a);
     }
-    (points, started.elapsed().as_secs_f64() * 1e3)
+    Sweep {
+        points,
+        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+    }
 }
 
-/// Per-point figures the gate compares. Counts are exact; floats within
-/// [`FLOAT_RTOL`].
-const INT_KEYS: [&str; 5] = ["offered", "admitted", "rejected", "completed", "in_flight"];
-const FLOAT_KEYS: [&str; 3] = ["p99_ms", "demand_ms", "slo_att"];
-
-fn point_figures(p: &Point) -> Vec<(String, String)> {
-    let r = &p.report;
-    vec![
-        (format!("{}_offered", p.key), r.offered.to_string()),
-        (format!("{}_admitted", p.key), r.admitted.to_string()),
-        (format!("{}_rejected", p.key), r.rejected.to_string()),
-        (format!("{}_completed", p.key), r.completed.to_string()),
-        (
-            format!("{}_in_flight", p.key),
-            r.in_flight_at_horizon.to_string(),
-        ),
-        (
-            format!("{}_p99_ms", p.key),
-            format!("{:.6}", r.p99_sojourn_seconds * 1e3),
-        ),
-        (
-            format!("{}_demand_ms", p.key),
-            format!("{:.6}", r.service_demand_seconds * 1e3),
-        ),
-        (
-            format!("{}_slo_att", p.key),
-            format!("{:.6}", r.slo_attainment),
-        ),
-    ]
-}
-
-fn to_json(profile: &str, points: &[Point], sweep_ms: f64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"dnnperf-bench-7\",\n");
-    out.push_str(&format!("  \"profile\": \"{profile}\",\n"));
-    out.push_str(&format!(
-        "  \"cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    ));
-    out.push_str(&format!("  \"points\": {},\n", points.len()));
-    out.push_str(&format!("  \"sweep_wall_ms\": {sweep_ms:.1},\n"));
-    let mut figures: Vec<(String, String)> = Vec::new();
-    for p in points {
-        figures.extend(point_figures(p));
+/// BENCH_7. Per point, request counts must match the baseline exactly and
+/// float figures within [`FLOAT_TOL`].
+fn table() -> Table<Sweep> {
+    type R = Row<Sweep>;
+    let mut rows = vec![
+        R::int("cores", |_| report::cores() as u64),
+        R::int("points", |s| s.points.len() as u64),
+        R::fixed("sweep_wall_ms", 1, |s| s.wall_ms),
+    ];
+    for (i, (rate, combo)) in grid().iter().enumerate() {
+        let key = point_key(*rate, combo);
+        let count = |suffix: &str, value: fn(&FleetReport) -> u64| {
+            R::int(format!("{key}_{suffix}"), move |s| value(&s.points[i])).gate(Bound::Exact)
+        };
+        let figure = |suffix: &str, value: fn(&FleetReport) -> f64| {
+            R::fixed(format!("{key}_{suffix}"), 6, move |s| value(&s.points[i])).gate(FLOAT_TOL)
+        };
+        rows.extend([
+            count("offered", |r| r.offered),
+            count("admitted", |r| r.admitted),
+            count("rejected", |r| r.rejected),
+            count("completed", |r| r.completed),
+            count("in_flight", |r| r.in_flight_at_horizon),
+            figure("p99_ms", |r| r.p99_sojourn_seconds * 1e3),
+            figure("demand_ms", |r| r.service_demand_seconds * 1e3),
+            figure("slo_att", |r| r.slo_attainment),
+        ]);
     }
-    for (i, (k, v)) in figures.iter().enumerate() {
-        let sep = if i + 1 == figures.len() { "" } else { "," };
-        out.push_str(&format!("  \"{k}\": {v}{sep}\n"));
-    }
-    out.push_str("}\n");
-    out
+    Table::new("dnnperf-bench-7", rows)
 }
 
 fn main() {
-    let flags = parse_flags();
+    let flags = Flags::parse("fleet", &[]);
+    let table = table();
+    let baseline = table.baseline(&flags);
     dnnperf_bench::banner(
         "FLEET",
         "capacity-planning sweep over cached plan predictions",
     );
 
-    let profile = if flags.smoke { "smoke" } else { "full" };
     let nets = catalog();
     println!("training 2 suites + IGKW over {} networks...", nets.len());
     let oracle = build_oracle(&nets);
-    let (points, sweep_ms) = sweep(&oracle);
+    let sweep = sweep(&oracle);
 
     println!();
     println!(
         "{} sweep points (2 runs each) in {:.1} ms — every point replayed byte-identically \
          and conserved all requests",
-        points.len(),
-        sweep_ms
+        sweep.points.len(),
+        sweep.wall_ms
     );
-    for p in &points {
-        let r = &p.report;
+    for ((rate, combo), r) in grid().iter().zip(&sweep.points) {
         println!(
             "  {:>14}: offered {:>4}, completed {:>4}, rejected {:>3}, p99 {:>8.3} ms, \
              SLO {:>5.1}%, igkw pool completed {}",
-            p.key,
+            point_key(*rate, combo),
             r.offered,
             r.completed,
             r.rejected,
@@ -328,65 +288,17 @@ fn main() {
             r.pools[2].completed,
         );
     }
+    table.publish(&flags, &sweep, &[], baseline);
+}
 
-    let doc = to_json(profile, &points, sweep_ms);
-    if let Some(path) = &flags.out {
-        std::fs::write(path, &doc).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("fleet --check: cannot read {path}: {e}"));
-        let mut failed = false;
-        for p in &points {
-            let r = &p.report;
-            let ints: [(&str, f64); 5] = [
-                ("offered", r.offered as f64),
-                ("admitted", r.admitted as f64),
-                ("rejected", r.rejected as f64),
-                ("completed", r.completed as f64),
-                ("in_flight", r.in_flight_at_horizon as f64),
-            ];
-            for (suffix, got) in ints {
-                let key = format!("{}_{suffix}", p.key);
-                let Some(want) = json_number(&baseline, &key) else {
-                    eprintln!("GATE FAIL: baseline {path} has no {key}");
-                    failed = true;
-                    continue;
-                };
-                if got != want {
-                    eprintln!("GATE FAIL: {key} = {got}, baseline {want} (exact match required)");
-                    failed = true;
-                }
-            }
-            let floats: [(&str, f64); 3] = [
-                ("p99_ms", r.p99_sojourn_seconds * 1e3),
-                ("demand_ms", r.service_demand_seconds * 1e3),
-                ("slo_att", r.slo_attainment),
-            ];
-            for (suffix, got) in floats {
-                let key = format!("{}_{suffix}", p.key);
-                let Some(want) = json_number(&baseline, &key) else {
-                    eprintln!("GATE FAIL: baseline {path} has no {key}");
-                    failed = true;
-                    continue;
-                };
-                let tol = want.abs() * FLOAT_RTOL + 1e-6;
-                if (got - want).abs() > tol {
-                    eprintln!("GATE FAIL: {key} = {got}, baseline {want} (tol {tol:e})");
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: {} points × ({} exact counts + {} float figures) match {path}",
-            points.len(),
-            INT_KEYS.len(),
-            FLOAT_KEYS.len()
-        );
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
+        let doc = std::fs::read_to_string(path).expect("committed baseline");
+        super::table()
+            .validate("BENCH_7.json", doc)
+            .expect("BENCH_7");
     }
 }

@@ -12,17 +12,13 @@
 //!
 //! * `--smoke` — fewer clients/requests for CI;
 //! * `--out PATH` — write the results as one JSON document (BENCH_6.json);
-//! * `--check PATH` — re-measure, then gate against a committed baseline:
-//!   fail (exit 1) on any client-observed error, fewer than 100
-//!   concurrent clients, p99 latency regressed beyond 6x the baseline, or
-//!   throughput below baseline/6 (machine-relative, like the perf gate);
-//! * `--deadline-ms N` — attach an N-millisecond deadline to every
-//!   request. Requests the server sheds or sweeps (`deadline-exceeded`)
-//!   count in the `overloaded` bucket, not as errors — useful for
-//!   exploring admission control, but not meaningful under `--check`
-//!   unless the baseline was captured with the same deadline.
+//! * `--check PATH` — validate the baseline, re-measure, then gate against
+//!   it row by row (see [`table`]): fail (exit 1) on any client-observed
+//!   error, fewer than 100 concurrent clients, p99 latency above 6x the
+//!   baseline, or throughput below baseline/6 (machine-relative, like the
+//!   perf gate).
 
-use dnnperf_bench::json_number;
+use dnnperf_bench::report::{self, Bound, Flags, Row, Table};
 use dnnperf_core::Workflow;
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::zoo;
@@ -43,54 +39,6 @@ const MIN_CLIENTS: usize = 100;
 
 const TENANT: &str = "zoo";
 const BATCHES: [usize; 3] = [1, 8, 32];
-
-struct Flags {
-    smoke: bool,
-    out: Option<String>,
-    check: Option<String>,
-    deadline_ms: Option<u64>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        out: None,
-        check: None,
-        deadline_ms: None,
-    };
-    let parse_deadline = |v: Option<String>| -> Option<u64> {
-        let v = v.unwrap_or_default();
-        match v.parse() {
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                eprintln!("loadgen: --deadline-ms needs a millisecond count, got {v:?}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            "--deadline-ms" => flags.deadline_ms = parse_deadline(args.next()),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--deadline-ms=") {
-                    flags.deadline_ms = parse_deadline(Some(v.to_string()));
-                } else {
-                    eprintln!("loadgen: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
 
 fn train_nets() -> Vec<dnnperf_dnn::Network> {
     vec![
@@ -115,7 +63,6 @@ struct ClientResult {
 }
 
 struct Report {
-    profile: &'static str,
     cores: usize,
     clients: usize,
     requests_per_client: usize,
@@ -133,39 +80,31 @@ struct Report {
     cache_bytes: usize,
 }
 
-impl Report {
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-6\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!(
-            "  \"requests_per_client\": {},\n",
-            self.requests_per_client
-        ));
-        out.push_str(&format!("  \"zoo_size\": {},\n", self.zoo_size));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok));
-        out.push_str(&format!("  \"overloaded\": {},\n", self.overloaded));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors));
-        out.push_str(&format!("  \"p50_us\": {:.1},\n", self.p50_us));
-        out.push_str(&format!("  \"p99_us\": {:.1},\n", self.p99_us));
-        out.push_str(&format!(
-            "  \"throughput_rps\": {:.1},\n",
-            self.throughput_rps
-        ));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses));
-        out.push_str(&format!(
-            "  \"cache_evictions\": {},\n",
-            self.cache_evictions
-        ));
-        out.push_str(&format!("  \"cache_entries\": {},\n", self.cache_entries));
-        out.push_str(&format!("  \"cache_bytes\": {}\n", self.cache_bytes));
-        out.push_str("}\n");
-        out
-    }
+/// BENCH_6. `clients` and `requests_per_client` differ between the smoke
+/// and full profiles, so they are floored or left ungated, never pinned.
+fn table() -> Table<Report> {
+    type R = Row<Report>;
+    Table::new(
+        "dnnperf-bench-6",
+        vec![
+            R::int("cores", |r| r.cores as u64),
+            R::int("clients", |r| r.clients as u64).gate(Bound::Floor(MIN_CLIENTS as f64)),
+            R::int("requests_per_client", |r| r.requests_per_client as u64),
+            R::int("zoo_size", |r| r.zoo_size as u64),
+            R::int("ok", |r| r.ok),
+            R::int("overloaded", |r| r.overloaded),
+            R::int("errors", |r| r.errors).gate(Bound::Ceiling(0.0)),
+            R::fixed("p50_us", 1, |r| r.p50_us),
+            R::fixed("p99_us", 1, |r| r.p99_us).gate(Bound::AtMostTimes(MAX_P99_REGRESSION)),
+            R::fixed("throughput_rps", 1, |r| r.throughput_rps)
+                .gate(Bound::AtLeastTimes(MIN_THROUGHPUT_FRACTION)),
+            R::int("cache_hits", |r| r.cache_hits),
+            R::int("cache_misses", |r| r.cache_misses),
+            R::int("cache_evictions", |r| r.cache_evictions),
+            R::int("cache_entries", |r| r.cache_entries as u64),
+            R::int("cache_bytes", |r| r.cache_bytes as u64),
+        ],
+    )
 }
 
 fn lcg_next(state: &mut u64) -> u64 {
@@ -175,7 +114,7 @@ fn lcg_next(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
+fn run(smoke: bool) -> Report {
     let (clients, requests_per_client) = if smoke { (128, 20) } else { (256, 100) };
 
     let gpu = GpuSpec::by_name("A100").expect("A100 spec");
@@ -187,7 +126,7 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
     let zoo_size = catalog.len();
     let names: Vec<String> = catalog.iter().map(|n| n.name().to_string()).collect();
 
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let cores = report::cores();
     let server = Arc::new(PredictionServer::start(&ServerConfig {
         workers: cores.max(2),
         queue_depth: 1024,
@@ -222,7 +161,7 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
                             tenant: TENANT.to_string(),
                             network: net.clone(),
                             batch,
-                            deadline_ms,
+                            deadline_ms: None,
                         };
                         let t0 = Instant::now();
                         match client.call(&req) {
@@ -234,12 +173,9 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
                                     res.errors += 1;
                                 }
                             }
-                            // Admission-control outcomes are load signals,
-                            // not failures: shed (full queue) and
-                            // deadline-shed (--deadline-ms) land together.
-                            Ok(Response::Overloaded | Response::DeadlineExceeded) => {
-                                res.overloaded += 1;
-                            }
+                            // Shedding at a full queue is a load signal,
+                            // not a failure.
+                            Ok(Response::Overloaded) => res.overloaded += 1,
                             Ok(_) | Err(_) => res.errors += 1,
                         }
                     }
@@ -269,7 +205,6 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
     let errors: u64 = results.iter().map(|r| r.errors).sum();
 
     Report {
-        profile: if smoke { "smoke" } else { "full" },
         cores,
         clients,
         requests_per_client,
@@ -289,10 +224,12 @@ fn run(smoke: bool, deadline_ms: Option<u64>) -> Report {
 }
 
 fn main() {
-    let flags = parse_flags();
+    let flags = Flags::parse("loadgen", &[]);
+    let table = table();
+    let baseline = table.baseline(&flags);
     dnnperf_bench::banner("LOADGEN", "multi-tenant TCP serving under concurrent load");
 
-    let report = run(flags.smoke, flags.deadline_ms);
+    let report = run(flags.smoke);
     println!();
     println!(
         "{} clients x {} requests over the {}-network zoo: {} ok, {} overloaded, {} errors",
@@ -314,53 +251,17 @@ fn main() {
         report.cache_evictions,
         report.cache_bytes
     );
+    table.publish(&flags, &report, &[], baseline);
+}
 
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("loadgen --check: cannot read {path}: {e}"));
-        let base_p99 = json_number(&baseline, "p99_us")
-            .unwrap_or_else(|| panic!("loadgen --check: no p99_us in {path}"));
-        let base_rps = json_number(&baseline, "throughput_rps")
-            .unwrap_or_else(|| panic!("loadgen --check: no throughput_rps in {path}"));
-        let mut failed = false;
-        if report.errors > 0 {
-            eprintln!("GATE FAIL: {} client-observed errors", report.errors);
-            failed = true;
-        }
-        if report.clients < MIN_CLIENTS {
-            eprintln!(
-                "GATE FAIL: only {} concurrent clients (floor {MIN_CLIENTS})",
-                report.clients
-            );
-            failed = true;
-        }
-        let p99_limit = base_p99 * MAX_P99_REGRESSION;
-        if report.p99_us > p99_limit {
-            eprintln!(
-                "GATE FAIL: p99 {:.0} us exceeds {:.0} (baseline {:.0} x {MAX_P99_REGRESSION})",
-                report.p99_us, p99_limit, base_p99
-            );
-            failed = true;
-        }
-        let rps_floor = base_rps * MIN_THROUGHPUT_FRACTION;
-        if report.throughput_rps < rps_floor {
-            eprintln!(
-                "GATE FAIL: throughput {:.0} req/s below {:.0} (baseline {:.0} / 6)",
-                report.throughput_rps, rps_floor, base_rps
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: p99 {:.0} us (limit {:.0}), {:.0} req/s (floor {:.0}), 0 errors",
-            report.p99_us, p99_limit, report.throughput_rps, rps_floor
-        );
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_baseline_carries_every_gated_key() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json");
+        let doc = std::fs::read_to_string(path).expect("committed baseline");
+        super::table()
+            .validate("BENCH_6.json", doc)
+            .expect("BENCH_6");
     }
 }

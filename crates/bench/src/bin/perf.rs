@@ -38,14 +38,16 @@
 //!   serving microbenchmarks;
 //! * `--out PATH` — write the results as one JSON document (BENCH_5.json,
 //!   or BENCH_9.json with `--train-scaling`);
-//! * `--check PATH` — re-measure, then gate against a committed baseline:
-//!   fail (exit 1) if warm-predict ns/kernel or cold-walk ns/layer
-//!   regressed by more than 2x, or if the warm-vs-legacy speedup fell
-//!   below 5x. With `--train-scaling`:
-//!   fail if the 8-thread train speedup is below 2x (cores permitting) or
-//!   if serial training ns/row regressed by more than 2x.
+//! * `--check PATH` — validate the baseline, re-measure, then gate against
+//!   it row by row (see [`serving_table`] and [`scaling_table`]): the sweep
+//!   counts must match exactly, warm-predict ns/kernel and cold-walk
+//!   ns/layer may not regress by more than 2x, and the warm-vs-legacy
+//!   speedup may not fall below 5x. With `--train-scaling`: the grid's
+//!   row and kernel-group counts must match exactly, and the 8-thread
+//!   train speedup must be at least 2x (cores permitting) or else serial
+//!   training ns/row may not regress by more than 2x.
 
-use dnnperf_bench::json_number;
+use dnnperf_bench::report::{self, Bound, Cores, Flags, Row, Table};
 use dnnperf_bench::timer::{bench, BenchResult};
 use dnnperf_core::plan::CompiledPlan;
 use dnnperf_core::{Predictor, TrainOptions, Workflow};
@@ -118,44 +120,7 @@ fn sweep_pairs() -> Vec<(Network, usize)> {
     pairs
 }
 
-struct Flags {
-    smoke: bool,
-    train_scaling: bool,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        smoke: false,
-        train_scaling: false,
-        out: None,
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--train-scaling" => flags.train_scaling = true,
-            "--out" => flags.out = args.next(),
-            "--check" => flags.check = args.next(),
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    flags.out = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--check=") {
-                    flags.check = Some(v.to_string());
-                } else {
-                    eprintln!("perf: unknown flag {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    flags
-}
-
 struct Report {
-    profile: &'static str,
     cores: usize,
     sweep_pairs: usize,
     sweep_kernel_terms: usize,
@@ -167,43 +132,26 @@ struct Report {
     entries: Vec<BenchResult>,
 }
 
-impl Report {
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-5\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"sweep_pairs\": {},\n", self.sweep_pairs));
-        out.push_str(&format!(
-            "  \"sweep_kernel_terms\": {},\n",
-            self.sweep_kernel_terms
-        ));
-        out.push_str(&format!("  \"sweep_layers\": {},\n", self.sweep_layers));
-        out.push_str(&format!(
-            "  \"warm_predict_ns_per_kernel\": {:.3},\n",
-            self.warm_ns_per_kernel
-        ));
-        out.push_str(&format!(
-            "  \"cold_walk_ns_per_layer\": {:.3},\n",
-            self.cold_walk_ns_per_layer
-        ));
-        out.push_str(&format!(
-            "  \"warm_vs_legacy_speedup\": {:.2},\n",
-            self.warm_vs_legacy_speedup
-        ));
-        out.push_str(&format!(
-            "  \"train_speedup_threads8\": {:.2},\n",
-            self.train_speedup_threads8
-        ));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i + 1 == self.entries.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", e.json_line()));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+/// BENCH_5. The sweep counts are pinned because ns/kernel and ns/layer
+/// compare only over the same work.
+fn serving_table() -> Table<Report> {
+    type R = Row<Report>;
+    Table::new(
+        "dnnperf-bench-5",
+        vec![
+            R::int("cores", |r| r.cores as u64),
+            R::int("sweep_pairs", |r| r.sweep_pairs as u64).gate(Bound::Exact),
+            R::int("sweep_kernel_terms", |r| r.sweep_kernel_terms as u64).gate(Bound::Exact),
+            R::int("sweep_layers", |r| r.sweep_layers as u64).gate(Bound::Exact),
+            R::fixed("warm_predict_ns_per_kernel", 3, |r| r.warm_ns_per_kernel)
+                .gate(Bound::AtMostTimes(MAX_NS_PER_KERNEL_REGRESSION)),
+            R::fixed("cold_walk_ns_per_layer", 3, |r| r.cold_walk_ns_per_layer)
+                .gate(Bound::AtMostTimes(MAX_NS_PER_LAYER_REGRESSION)),
+            R::fixed("warm_vs_legacy_speedup", 2, |r| r.warm_vs_legacy_speedup)
+                .gate(Bound::Floor(MIN_WARM_SPEEDUP)),
+            R::fixed("train_speedup_threads8", 2, |r| r.train_speedup_threads8),
+        ],
+    )
 }
 
 fn run(smoke: bool) -> Report {
@@ -278,8 +226,7 @@ fn run(smoke: bool) -> Report {
     entries.push(legacy);
 
     Report {
-        profile: if smoke { "smoke" } else { "full" },
-        cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        cores: report::cores(),
         sweep_pairs: pairs.len(),
         sweep_kernel_terms,
         sweep_layers,
@@ -306,7 +253,6 @@ fn scaling_nets() -> Vec<Network> {
 }
 
 struct ScalingReport {
-    profile: &'static str,
     cores: usize,
     train_rows: usize,
     kernel_groups: usize,
@@ -315,30 +261,31 @@ struct ScalingReport {
     entries: Vec<BenchResult>,
 }
 
-impl ScalingReport {
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dnnperf-bench-9\",\n");
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores));
-        out.push_str(&format!("  \"train_rows\": {},\n", self.train_rows));
-        out.push_str(&format!("  \"kernel_groups\": {},\n", self.kernel_groups));
-        out.push_str(&format!(
-            "  \"train_ns_per_row_threads1\": {:.3},\n",
-            self.ns_per_row_threads1
-        ));
-        for (t, s) in SCALING_THREADS.iter().zip(self.speedups) {
-            out.push_str(&format!("  \"train_speedup_threads{t}\": {s:.2},\n"));
-        }
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i + 1 == self.entries.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", e.json_line()));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+/// BENCH_9. The grid counts are pinned because ns/row compares only over
+/// the same rows. Below [`MIN_CORES_FOR_SPEEDUP_GATE`] cores no parallel
+/// speedup can exist, so serial throughput is gated instead, and training
+/// perf cannot silently rot on small boxes.
+fn scaling_table() -> Table<ScalingReport> {
+    type R = Row<ScalingReport>;
+    Table::new(
+        "dnnperf-bench-9",
+        vec![
+            R::int("cores", |r| r.cores as u64),
+            R::int("train_rows", |r| r.train_rows as u64).gate(Bound::Exact),
+            R::int("kernel_groups", |r| r.kernel_groups as u64).gate(Bound::Exact),
+            R::fixed("train_ns_per_row_threads1", 3, |r| r.ns_per_row_threads1).gate_on(
+                Cores::Below(MIN_CORES_FOR_SPEEDUP_GATE),
+                Bound::AtMostTimes(MAX_TRAIN_NS_PER_ROW_REGRESSION),
+            ),
+            R::fixed("train_speedup_threads1", 2, |r| r.speedups[0]),
+            R::fixed("train_speedup_threads2", 2, |r| r.speedups[1]),
+            R::fixed("train_speedup_threads4", 2, |r| r.speedups[2]),
+            R::fixed("train_speedup_threads8", 2, |r| r.speedups[3]).gate_on(
+                Cores::AtLeast(MIN_CORES_FOR_SPEEDUP_GATE),
+                Bound::Floor(MIN_TRAIN_SPEEDUP_THREADS8),
+            ),
+        ],
+    )
 }
 
 fn run_train_scaling(smoke: bool) -> ScalingReport {
@@ -406,8 +353,7 @@ fn run_train_scaling(smoke: bool) -> ScalingReport {
     ];
 
     ScalingReport {
-        profile: if smoke { "smoke" } else { "full" },
-        cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        cores: report::cores(),
         train_rows,
         kernel_groups,
         ns_per_row_threads1: t1_ns / train_rows.max(1) as f64,
@@ -417,6 +363,8 @@ fn run_train_scaling(smoke: bool) -> ScalingReport {
 }
 
 fn main_train_scaling(flags: &Flags) {
+    let table = scaling_table();
+    let baseline = table.baseline(flags);
     dnnperf_bench::banner("PERF", "training scaling sweep (mergeable accumulators)");
     let report = run_train_scaling(flags.smoke);
     println!();
@@ -433,59 +381,17 @@ fn main_train_scaling(flags: &Flags) {
         println!("  threads {t}: {}", speedup_text(s, t, report.cores));
     }
     println!("byte-identity: OK at every thread count");
-
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("perf --check: cannot read {path}: {e}"));
-        let base_ns_row = json_number(&baseline, "train_ns_per_row_threads1")
-            .unwrap_or_else(|| panic!("perf --check: no train_ns_per_row_threads1 in {path}"));
-        let mut failed = false;
-        if report.cores >= MIN_CORES_FOR_SPEEDUP_GATE {
-            let s8 = report.speedups[3];
-            if s8 < MIN_TRAIN_SPEEDUP_THREADS8 {
-                eprintln!(
-                    "GATE FAIL: train speedup at 8 threads {s8:.2}x below the \
-                     {MIN_TRAIN_SPEEDUP_THREADS8}x floor ({} cores)",
-                    report.cores
-                );
-                failed = true;
-            }
-        } else {
-            // Too few cores for parallel speedup to exist; gate serial
-            // throughput instead so training perf cannot silently rot.
-            let limit = base_ns_row * MAX_TRAIN_NS_PER_ROW_REGRESSION;
-            if report.ns_per_row_threads1 > limit {
-                eprintln!(
-                    "GATE FAIL: serial training {:.0} ns/row exceeds {:.0} \
-                     (baseline {:.0} x {MAX_TRAIN_NS_PER_ROW_REGRESSION})",
-                    report.ns_per_row_threads1, limit, base_ns_row
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: speedup@8 {}, serial {:.0} ns/row (baseline {:.0})",
-            speedup_text(report.speedups[3], 8, report.cores),
-            report.ns_per_row_threads1,
-            base_ns_row
-        );
-    }
+    table.publish(flags, &report, &report.entries, baseline);
 }
 
 fn main() {
-    let flags = parse_flags();
-    if flags.train_scaling {
+    let flags = Flags::parse("perf", &["--train-scaling"]);
+    if flags.switch("--train-scaling") {
         main_train_scaling(&flags);
         return;
     }
+    let table = serving_table();
+    let baseline = table.baseline(&flags);
     dnnperf_bench::banner(
         "PERF",
         "cached-answer serving and pooled-training microbenchmarks",
@@ -506,56 +412,74 @@ fn main() {
         report.warm_vs_legacy_speedup,
         speedup_text(report.train_speedup_threads8, 8, report.cores)
     );
+    table.publish(&flags, &report, &report.entries, baseline);
+}
 
-    if let Some(path) = &flags.out {
-        std::fs::write(path, report.to_json()).expect("write report");
-        println!("wrote {path}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(table: &str) -> String {
+        let path = format!("{}/../../{table}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("committed baseline")
     }
 
-    if let Some(path) = &flags.check {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("perf --check: cannot read {path}: {e}"));
-        let base_ns = json_number(&baseline, "warm_predict_ns_per_kernel")
-            .unwrap_or_else(|| panic!("perf --check: no warm_predict_ns_per_kernel in {path}"));
-        let base_walk = json_number(&baseline, "cold_walk_ns_per_layer")
-            .unwrap_or_else(|| panic!("perf --check: no cold_walk_ns_per_layer in {path}"));
-        let mut failed = false;
-        let limit = base_ns * MAX_NS_PER_KERNEL_REGRESSION;
-        if report.warm_ns_per_kernel > limit {
-            eprintln!(
-                "GATE FAIL: warm predict {:.1} ns/kernel exceeds {:.1} \
-                 (baseline {:.1} x {MAX_NS_PER_KERNEL_REGRESSION})",
-                report.warm_ns_per_kernel, limit, base_ns
-            );
-            failed = true;
+    #[test]
+    fn committed_baselines_carry_every_gated_key() {
+        serving_table()
+            .validate("BENCH_5.json", committed("BENCH_5.json"))
+            .expect("BENCH_5");
+        scaling_table()
+            .validate("BENCH_9.json", committed("BENCH_9.json"))
+            .expect("BENCH_9");
+    }
+
+    #[test]
+    fn bench9_gates_speedup_on_big_boxes_and_serial_ns_per_row_below() {
+        let table = scaling_table();
+        let baseline = table
+            .validate("BENCH_9.json", committed("BENCH_9.json"))
+            .expect("BENCH_9");
+        let run = |ns_per_row_threads1: f64, speedup8: f64| ScalingReport {
+            cores: 0,
+            train_rows: 14_495,
+            kernel_groups: 70,
+            ns_per_row_threads1,
+            speedups: [1.0, 1.0, 1.0, speedup8],
+            entries: Vec::new(),
+        };
+        // The committed serial figure is a few hundred ns/row.
+        let (slow, fast) = (1e6, 1.0);
+        for cores in [1, 2, 3] {
+            let fails = table
+                .check(&run(slow, 8.0), &baseline, cores)
+                .expect_err("serial ns/row binds below 4 cores");
+            assert_eq!(fails.len(), 1);
+            assert!(fails[0].contains("train_ns_per_row_threads1"), "{fails:?}");
+            table
+                .check(&run(fast, 0.5), &baseline, cores)
+                .expect("speedup does not bind below 4 cores");
         }
-        let walk_limit = base_walk * MAX_NS_PER_LAYER_REGRESSION;
-        if report.cold_walk_ns_per_layer > walk_limit {
-            eprintln!(
-                "GATE FAIL: cold walk {:.1} ns/layer exceeds {:.1} \
-                 (baseline {:.1} x {MAX_NS_PER_LAYER_REGRESSION})",
-                report.cold_walk_ns_per_layer, walk_limit, base_walk
-            );
-            failed = true;
+        for cores in [4, 64] {
+            let fails = table
+                .check(&run(fast, 1.99), &baseline, cores)
+                .expect_err("speedup binds at 4+ cores");
+            assert_eq!(fails.len(), 1);
+            assert!(fails[0].contains("train_speedup_threads8"), "{fails:?}");
+            table
+                .check(&run(slow, 2.0), &baseline, cores)
+                .expect("serial ns/row does not bind at 4+ cores");
         }
-        if report.warm_vs_legacy_speedup < MIN_WARM_SPEEDUP {
-            eprintln!(
-                "GATE FAIL: warm-vs-legacy speedup {:.2}x below the {MIN_WARM_SPEEDUP}x floor",
-                report.warm_vs_legacy_speedup
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "gate OK: {:.1} ns/kernel (limit {:.1}), {:.1} ns/layer cold walk (limit {:.1}), \
-             speedup {:.2}x (floor {MIN_WARM_SPEEDUP}x)",
-            report.warm_ns_per_kernel,
-            limit,
-            report.cold_walk_ns_per_layer,
-            walk_limit,
-            report.warm_vs_legacy_speedup
-        );
+        let fails = table
+            .check(
+                &ScalingReport {
+                    train_rows: 14_496,
+                    ..run(fast, 2.0)
+                },
+                &baseline,
+                1,
+            )
+            .expect_err("the grid is pinned");
+        assert!(fails[0].contains("train_rows = 14496"), "{fails:?}");
     }
 }

@@ -3,11 +3,16 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index). This library holds the pieces
 //! they share: dataset construction, the canonical train/test split,
-//! measurement shortcuts and plain-text table/S-curve printers.
+//! measurement shortcuts, plain-text table/S-curve printers, and the one
+//! report and gate format of the committed `BENCH_*.json` files
+//! ([`report`]).
 
 #![warn(missing_docs)]
 
+pub mod report;
 pub mod timer;
+
+pub use report::json_number;
 
 use dnnperf_data::collect::{collect_report_opts, collect_training_report_opts, TRAIN_BATCH};
 use dnnperf_data::{split::split_dataset, CollectOptions, CollectReport, Dataset};
@@ -23,23 +28,6 @@ pub const SPLIT_SEED: u64 = 2023;
 
 /// Percentage points of the S-curve X axis in Figures 11-14.
 pub const S_CURVE_PERCENTS: [f64; 7] = [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0];
-
-/// Extracts the number following `"key":` from a flat JSON document (the
-/// committed `BENCH_*.json` baselines the gated bins `--check` against).
-///
-/// ```
-/// let doc = "{\n  \"p99_us\": 130.5,\n  \"errors\": 0\n}";
-/// assert_eq!(dnnperf_bench::json_number(doc, "p99_us"), Some(130.5));
-/// assert_eq!(dnnperf_bench::json_number(doc, "errors"), Some(0.0));
-/// assert_eq!(dnnperf_bench::json_number(doc, "missing"), None);
-/// ```
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// Prints the experiment banner.
 pub fn banner(id: &str, title: &str) {

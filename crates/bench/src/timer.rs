@@ -6,16 +6,8 @@
 //! meaningless under scheduler noise). Results are printed as a
 //! human-readable line *and* as one JSON object per line on stdout, so runs
 //! can be diffed or collected by scripts without a harness dependency.
-//!
-//! Environment:
-//!
-//! * `DNNPERF_BENCH_ITERS` — overrides the timed iteration count of every
-//!   measurement (e.g. `DNNPERF_BENCH_ITERS=3` for a CI smoke run);
-//! * `DNNPERF_BENCH_JSON` — a file path; when set, JSON lines are also
-//!   appended there.
 
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::Instant;
 
 /// One benchmark measurement summary (per-iteration nanoseconds).
@@ -60,16 +52,12 @@ fn engineering(ns: f64) -> String {
 }
 
 /// Times `f` (`warmup` untimed + `iters` timed runs) and returns the
-/// summary without printing. `DNNPERF_BENCH_ITERS` overrides `iters`.
+/// summary without printing.
 ///
 /// # Panics
 ///
-/// Panics if `iters` (after the env override) is zero.
+/// Panics if `iters` is zero.
 pub fn measure<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> BenchResult {
-    let iters = std::env::var("DNNPERF_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(iters);
     assert!(
         iters > 0,
         "benchmark {name}: need at least one timed iteration"
@@ -97,8 +85,7 @@ pub fn measure<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T)
 }
 
 /// [`measure`]s and reports: a human-readable line plus a JSON line on
-/// stdout, and (when `DNNPERF_BENCH_JSON` is set) the JSON line appended to
-/// that file.
+/// stdout.
 pub fn bench<T>(name: &str, warmup: u32, iters: u32, f: impl FnMut() -> T) -> BenchResult {
     let r = measure(name, warmup, iters, f);
     println!(
@@ -110,15 +97,6 @@ pub fn bench<T>(name: &str, warmup: u32, iters: u32, f: impl FnMut() -> T) -> Be
         r.iters
     );
     println!("{}", r.json_line());
-    if let Ok(path) = std::env::var("DNNPERF_BENCH_JSON") {
-        if let Ok(mut file) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-        {
-            let _ = writeln!(file, "{}", r.json_line());
-        }
-    }
     r
 }
 
