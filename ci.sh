@@ -145,6 +145,11 @@ expect_gate_fail chaos BENCH_8.json transport_ok
 echo "==> rustfmt"
 cargo fmt --all -- --check
 
+echo "==> rustdoc (warnings are errors)"
+# Deleting or renaming an item must not leave a dangling intra-doc link
+# behind in another crate's docs; rustdoc reports those as warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> clippy (warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -5,7 +5,7 @@ use crate::error::{PredictError, TrainError};
 use crate::model::Predictor;
 use dnnperf_data::Dataset;
 use dnnperf_dnn::Network;
-use dnnperf_linreg::{fit_bounded_intercept_with, Estimator, Fit};
+use dnnperf_linreg::{fit_bounded_intercept, Fit};
 
 /// The simplest paper model: `time = a * total_FLOPs + b`, trained on
 /// network-level measurements of one GPU.
@@ -16,7 +16,9 @@ pub struct E2eModel {
 }
 
 impl E2eModel {
-    /// Trains on the network rows of `gpu` in `dataset`.
+    /// Trains on the network rows of `gpu` in `dataset`: a least-squares
+    /// line whose intercept is bounded to `[0, min time]`
+    /// ([`fit_bounded_intercept`]).
     ///
     /// # Errors
     ///
@@ -43,22 +45,6 @@ impl E2eModel {
     /// # }
     /// ```
     pub fn train(dataset: &Dataset, gpu: &str) -> Result<Self, TrainError> {
-        E2eModel::train_with(dataset, gpu, Estimator::Ols)
-    }
-
-    /// Trains with an explicit regression estimator: [`Estimator::Ols`] is
-    /// the paper's least-squares fit; [`Estimator::Huber`] bounds the
-    /// influence of corrupted measurements that survived collection
-    /// hygiene (robustness ablation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`E2eModel::train`].
-    pub fn train_with(
-        dataset: &Dataset,
-        gpu: &str,
-        estimator: Estimator,
-    ) -> Result<Self, TrainError> {
         let rows: Vec<_> = dataset.networks.iter().filter(|r| &*r.gpu == gpu).collect();
         if rows.is_empty() {
             return Err(TrainError::NoDataForGpu {
@@ -67,11 +53,10 @@ impl E2eModel {
         }
         let xs: Vec<f64> = rows.iter().map(|r| r.flops as f64).collect();
         let ys: Vec<f64> = rows.iter().map(|r| r.e2e_seconds).collect();
-        let fit =
-            fit_bounded_intercept_with(estimator, &xs, &ys).map_err(|source| TrainError::Fit {
-                what: format!("E2E model for {gpu}"),
-                source,
-            })?;
+        let fit = fit_bounded_intercept(&xs, &ys).map_err(|source| TrainError::Fit {
+            what: format!("E2E model for {gpu}"),
+            source,
+        })?;
         Ok(E2eModel {
             gpu: gpu.to_string(),
             fit,

@@ -76,20 +76,7 @@ impl IgkwModel {
     /// kernel rows, and [`TrainError::NotEnoughSamples`] if no kernel could
     /// be fitted on any GPU.
     pub fn train(dataset: &Dataset, gpus: &[GpuSpec]) -> Result<Self, TrainError> {
-        IgkwModel::train_with_metric(dataset, gpus, TransferMetric::Bandwidth)
-    }
-
-    /// Trains with an explicit transfer metric (for the ablation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`IgkwModel::train`].
-    pub fn train_with_metric(
-        dataset: &Dataset,
-        gpus: &[GpuSpec],
-        metric: TransferMetric,
-    ) -> Result<Self, TrainError> {
-        IgkwModel::train_with_options(dataset, gpus, metric, true)
+        IgkwModel::train_with_options(dataset, gpus, TransferMetric::Bandwidth, true)
     }
 
     /// Trains with full control over the transfer formulation: the metric
@@ -419,10 +406,9 @@ mod tests {
     fn bandwidth_metric_beats_flops_metric() {
         // The paper's O6: bandwidth is the right transfer metric.
         let ds = collect(&nets(), &train_gpus(), &[64]);
-        let bw =
-            IgkwModel::train_with_metric(&ds, &train_gpus(), TransferMetric::Bandwidth).unwrap();
-        let fl =
-            IgkwModel::train_with_metric(&ds, &train_gpus(), TransferMetric::PeakFlops).unwrap();
+        let bw = IgkwModel::train(&ds, &train_gpus()).unwrap();
+        let fl = IgkwModel::train_with_options(&ds, &train_gpus(), TransferMetric::PeakFlops, true)
+            .unwrap();
         let titan = GpuSpec::by_name("TITAN RTX").unwrap();
         let prof = Profiler::new(titan.clone());
         let (mut bw_p, mut fl_p, mut meas) = (Vec::new(), Vec::new(), Vec::new());

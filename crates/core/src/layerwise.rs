@@ -7,7 +7,7 @@ use crate::model::Predictor;
 use dnnperf_data::Dataset;
 use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Network;
-use dnnperf_linreg::{fit_bounded_intercept_with, mean, Estimator, Fit, Line};
+use dnnperf_linreg::{fit_bounded_intercept, mean, Fit, Line};
 use std::collections::BTreeMap;
 
 /// Per-layer-type regression of time on FLOPs.
@@ -31,37 +31,23 @@ fn constant_fit(ys: &[f64]) -> Fit {
     }
 }
 
-fn fit_or_constant(estimator: Estimator, xs: &[f64], ys: &[f64]) -> Fit {
-    match fit_bounded_intercept_with(estimator, xs, ys) {
+fn fit_or_constant(xs: &[f64], ys: &[f64]) -> Fit {
+    match fit_bounded_intercept(xs, ys) {
         Ok(f) if f.line.slope.is_finite() => f,
         _ => constant_fit(ys),
     }
 }
 
 impl LwModel {
-    /// Trains per-layer-type regressions on the layer rows of `gpu`.
+    /// Trains per-layer-type regressions on the layer rows of `gpu`: each
+    /// a least-squares line whose intercept is bounded to `[0, min time]`
+    /// ([`fit_bounded_intercept`]).
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::NoDataForGpu`] if the dataset has no layer rows
     /// for `gpu`.
     pub fn train(dataset: &Dataset, gpu: &str) -> Result<Self, TrainError> {
-        LwModel::train_with(dataset, gpu, Estimator::Ols)
-    }
-
-    /// Trains with an explicit regression estimator: [`Estimator::Ols`] is
-    /// the paper's least-squares fit; [`Estimator::Huber`] bounds the
-    /// influence of corrupted measurements that survived collection
-    /// hygiene (robustness ablation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LwModel::train`].
-    pub fn train_with(
-        dataset: &Dataset,
-        gpu: &str,
-        estimator: Estimator,
-    ) -> Result<Self, TrainError> {
         let rows: Vec<_> = dataset.layers.iter().filter(|r| &*r.gpu == gpu).collect();
         if rows.is_empty() {
             return Err(TrainError::NoDataForGpu {
@@ -76,14 +62,14 @@ impl LwModel {
         }
         let per_type = grouped
             .into_iter()
-            .map(|(tag, (xs, ys))| (tag, fit_or_constant(estimator, &xs, &ys)))
+            .map(|(tag, (xs, ys))| (tag, fit_or_constant(&xs, &ys)))
             .collect();
         let xs: Vec<f64> = rows.iter().map(|r| r.flops as f64).collect();
         let ys: Vec<f64> = rows.iter().map(|r| r.seconds).collect();
         Ok(LwModel {
             gpu: gpu.to_string(),
             per_type,
-            fallback: fit_or_constant(estimator, &xs, &ys),
+            fallback: fit_or_constant(&xs, &ys),
         })
     }
 

@@ -24,20 +24,3 @@ pub trait Predictor {
     /// (unknown layer types with no fallback) or the batch size is zero.
     fn predict_network(&self, net: &Network, batch: usize) -> Result<f64, PredictError>;
 }
-
-/// Convenience: predicts a set of networks, pairing each prediction with the
-/// network name. Networks the model cannot cover are skipped.
-pub fn predict_all<P: Predictor + ?Sized>(
-    model: &P,
-    nets: &[Network],
-    batch: usize,
-) -> Vec<(String, f64)> {
-    nets.iter()
-        .filter_map(|n| {
-            model
-                .predict_network(n, batch)
-                .ok()
-                .map(|t| (n.name().to_string(), t))
-        })
-        .collect()
-}

@@ -157,45 +157,6 @@ impl Workflow {
         })
     }
 
-    /// Trains the suite with an explicit regression estimator for the E2E
-    /// and LW models ([`dnnperf_linreg::Estimator::Huber`] bounds the
-    /// influence of corrupted measurements that survived collection
-    /// hygiene). The KW model's clustered per-kernel fits keep the paper's
-    /// least-squares estimator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`TrainError`] from the individual models.
-    pub fn train_with(
-        dataset: &Dataset,
-        gpu: &str,
-        estimator: dnnperf_linreg::Estimator,
-    ) -> Result<Self, TrainError> {
-        Workflow::train_with_opts(dataset, gpu, estimator, &TrainOptions::serial())
-    }
-
-    /// [`Workflow::train_with`] plus explicit [`TrainOptions`] for the KW
-    /// training fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`TrainError`] from the individual models.
-    pub fn train_with_opts(
-        dataset: &Dataset,
-        gpu: &str,
-        estimator: dnnperf_linreg::Estimator,
-        opts: &TrainOptions,
-    ) -> Result<Self, TrainError> {
-        let threads = opts.effective_threads();
-        Ok(Workflow {
-            e2e: E2eModel::train_with(dataset, gpu, estimator)?,
-            lw: LwModel::train_with(dataset, gpu, estimator)?,
-            kw: KwModel::train_with_options(dataset, gpu, DEFAULT_SLOPE_TOLERANCE, threads)?,
-            plans: SharedPlanCache::new(&CacheConfig::default()),
-            generation: AtomicU64::new(next_generation()),
-        })
-    }
-
     /// The cached answer for `(net, batch)` from the suite's plan cache.
     /// The first request for a key walks the trained models once (see
     /// [`crate::plan`]); repeated requests share that entry.

@@ -171,3 +171,43 @@ fn model_files_are_human_readable() {
         assert!(line.split_whitespace().next().is_some());
     }
 }
+
+/// Golden pins: the FNV-1a hash of every model kind's text, trained on
+/// [`dataset`]. A change that moves any trained bit moves a pin; a change
+/// that means to (a new fitting rule, say) re-pins here and records the
+/// old and new values with the cause.
+#[test]
+fn trained_model_texts_match_golden_pins() {
+    use dnnperf_testkit::hashrng::fnv1a;
+    let ds = dataset();
+    let gpus = [
+        GpuSpec::by_name("A100").unwrap(),
+        GpuSpec::by_name("V100").unwrap(),
+    ];
+    let pins = [
+        (
+            "e2e",
+            E2eModel::train(&ds, "A100").unwrap().to_text(),
+            0xb05a_d83d_5680_f117,
+        ),
+        (
+            "lw",
+            LwModel::train(&ds, "A100").unwrap().to_text(),
+            0xc49a_7781_dcd4_2a93,
+        ),
+        (
+            "kw",
+            KwModel::train(&ds, "A100").unwrap().to_text(),
+            0x2eb6_3574_a42d_9582,
+        ),
+        (
+            "igkw",
+            IgkwModel::train(&ds, &gpus).unwrap().to_text(),
+            0xddb6_2c2a_f59d_7bce,
+        ),
+    ];
+    for (kind, text, pin) in pins {
+        let got = fnv1a(text.as_bytes());
+        assert_eq!(got, pin, "{kind}: fnv1a {got:#018x}, pinned {pin:#018x}");
+    }
+}

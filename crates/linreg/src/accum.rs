@@ -1,4 +1,4 @@
-//! Mergeable Youngs–Cramer regression accumulators.
+//! The mergeable Youngs–Cramer accumulator behind every least-squares fit.
 //!
 //! [`crate::fit`] sweeps its samples once with Welford-style centred-moment
 //! updates. That single pass is exactly a left fold, and this module turns
@@ -7,8 +7,7 @@
 //! wholesale ([`OlsAccum::merge`], Chan et al.'s pairwise update). Partial
 //! accumulators computed over disjoint sample ranges therefore compose into
 //! the same regression a serial sweep would produce — which is what lets
-//! model training split one fit across worker threads and what the online
-//! refresh planned in ROADMAP item 3 needs to fold new rows into old fits.
+//! model training split one fit across worker threads.
 //!
 //! # Determinism contract
 //!
@@ -259,7 +258,11 @@ pub fn fit_bounded_segments(
     segments: &[(&[f64], &[f64])],
 ) -> Result<Fit, FitError> {
     let f = acc.fit()?;
-    let min_y = acc.min_y().max(0.0);
+    // Not `acc.min_y().max(0.0)`: a measured time of −0.0 (the empty sum
+    // of a kernel-less layer) would then clamp to a zero whose sign
+    // depends on how `f64::max` is lowered, and the serialized intercept
+    // would differ between debug and release builds.
+    let min_y = if acc.min_y() > 0.0 { acc.min_y() } else { 0.0 };
     if f.line.intercept >= 0.0 && f.line.intercept <= min_y {
         return Ok(f);
     }
@@ -314,129 +317,6 @@ fn r_squared_segments(segments: &[(&[f64], &[f64])], line: Line) -> f64 {
         }
     } else {
         1.0 - ss_res / ss_tot
-    }
-}
-
-/// Mergeable single-pass state of a *weighted* one-variable least-squares
-/// fit (West's weighted Welford updates), the per-iteration kernel of
-/// Huber/IRLS: each IRLS round computes fresh weights and needs one
-/// weighted fit, and this accumulator lets that fit be assembled from
-/// per-chunk partials merged in fixed index order exactly like
-/// [`OlsAccum`].
-///
-/// Samples with non-positive weight are skipped: they contribute nothing
-/// to any weighted sum, and admitting them would poison the running means
-/// with divisions by a zero weight total.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WlsAccum {
-    sw: f64,
-    count: usize,
-    mx: f64,
-    my: f64,
-    m2x: f64,
-    cxy: f64,
-}
-
-impl Default for WlsAccum {
-    fn default() -> Self {
-        WlsAccum::new()
-    }
-}
-
-impl WlsAccum {
-    /// An empty weighted accumulator.
-    pub fn new() -> Self {
-        WlsAccum {
-            sw: 0.0,
-            count: 0,
-            mx: 0.0,
-            my: 0.0,
-            m2x: 0.0,
-            cxy: 0.0,
-        }
-    }
-
-    /// Total weight absorbed so far.
-    pub fn weight(&self) -> f64 {
-        self.sw
-    }
-
-    /// Number of positively-weighted samples absorbed so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Absorbs one `(x, y)` sample with weight `w` (ignored unless
-    /// `w > 0`).
-    pub fn push(&mut self, x: f64, y: f64, w: f64) {
-        if w <= 0.0 {
-            return;
-        }
-        self.count += 1;
-        self.sw += w;
-        let dx = x - self.mx;
-        let dy = y - self.my;
-        self.mx += dx * w / self.sw;
-        self.my += dy * w / self.sw;
-        self.m2x += w * dx * (x - self.mx);
-        self.cxy += w * dx * (y - self.my);
-    }
-
-    /// Merges another weighted accumulator into this one (weight-scaled
-    /// Chan update). Subject to the same canonical chunk discipline as
-    /// [`OlsAccum::merge`].
-    pub fn merge(&mut self, other: &WlsAccum) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let w1 = self.sw;
-        let w2 = other.sw;
-        let w = w1 + w2;
-        let dx = other.mx - self.mx;
-        let dy = other.my - self.my;
-        let f = w1 * w2 / w;
-        self.m2x += other.m2x + dx * dx * f;
-        self.cxy += other.cxy + dx * dy * f;
-        self.mx += dx * w2 / w;
-        self.my += dy * w2 / w;
-        self.sw = w;
-        self.count += other.count;
-    }
-
-    /// Absorbs `(x, y, w)` triples through the canonical reduction tree:
-    /// rows cut at multiples of [`FIT_CHUNK`] (counting *all* rows, so
-    /// chunk boundaries are weight-independent), chunks merged in index
-    /// order.
-    pub fn accumulate(&mut self, xs: &[f64], ys: &[f64], ws: &[f64]) {
-        for ((cx, cy), cw) in xs
-            .chunks(FIT_CHUNK)
-            .zip(ys.chunks(FIT_CHUNK))
-            .zip(ws.chunks(FIT_CHUNK))
-        {
-            let mut chunk = WlsAccum::new();
-            for ((x, y), w) in cx.iter().zip(cy).zip(cw) {
-                chunk.push(*x, *y, *w);
-            }
-            self.merge(&chunk);
-        }
-    }
-
-    /// Finalises the weighted state into a [`Line`].
-    ///
-    /// # Errors
-    ///
-    /// [`FitError::DegenerateX`] if no positive weight was absorbed or all
-    /// weighted `x` are identical.
-    pub fn line(&self) -> Result<Line, FitError> {
-        if self.sw <= 0.0 || self.m2x == 0.0 {
-            return Err(FitError::DegenerateX);
-        }
-        let slope = self.cxy / self.m2x;
-        Ok(Line::new(slope, self.my - slope * self.mx))
     }
 }
 
@@ -544,48 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn wls_unit_weights_match_ols() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x - 7.0).collect();
-        let ws = vec![1.0; xs.len()];
-        let mut w = WlsAccum::new();
-        w.accumulate(&xs, &ys, &ws);
-        let line = w.line().unwrap();
-        assert!((line.slope - 3.0).abs() < 1e-9);
-        assert!((line.intercept + 7.0).abs() < 1e-7);
-        assert_eq!(w.count(), 100);
-    }
-
-    #[test]
-    fn wls_zero_weights_are_skipped() {
-        let mut w = WlsAccum::new();
-        w.push(1.0, 1.0, 0.0);
-        w.push(5.0, 5.0, -2.0);
-        assert_eq!(w.count(), 0);
-        assert_eq!(w.line(), Err(FitError::DegenerateX));
-    }
-
-    #[test]
-    fn wls_merge_matches_serial_pushes_within_a_chunk() {
-        let xs: Vec<f64> = (0..64).map(|i| i as f64 * 1.5).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 0.5 * x + 2.0).collect();
-        let ws: Vec<f64> = (0..64).map(|i| 0.25 + (i % 4) as f64 * 0.25).collect();
-        let mut serial = WlsAccum::new();
-        for ((x, y), w) in xs.iter().zip(&ys).zip(&ws) {
-            serial.push(*x, *y, *w);
-        }
-        let mut a = WlsAccum::new();
-        let mut b = WlsAccum::new();
-        for ((x, y), w) in xs.iter().zip(&ys).zip(&ws).take(32) {
-            a.push(*x, *y, *w);
-        }
-        for ((x, y), w) in xs.iter().zip(&ys).zip(&ws).skip(32) {
-            b.push(*x, *y, *w);
-        }
-        a.merge(&b);
-        let ls = serial.line().unwrap();
-        let lm = a.line().unwrap();
-        assert!((ls.slope - lm.slope).abs() < 1e-12);
-        assert!((ls.intercept - lm.intercept).abs() < 1e-12);
+    fn bounded_intercept_clamps_to_positive_zero_below_negative_zero_times() {
+        // OLS puts the intercept above the smallest time, −0.0, so it is
+        // clamped to that floor, which must come out as +0.0 in every build.
+        let xs = [1.0, 100.0, 10_000.0];
+        let ys = [-0.0, 20.0, 120.0];
+        let mut acc = OlsAccum::new();
+        acc.accumulate(&xs, &ys);
+        assert!(acc.fit().unwrap().line.intercept > 0.0);
+        let f = fit_bounded_segments(&acc, &[(&xs, &ys)]).unwrap();
+        assert_eq!(f.line.intercept.to_bits(), 0.0f64.to_bits());
     }
 }

@@ -4,7 +4,9 @@
 //! The paper deliberately avoids "complex statistical approaches, such as PCA
 //! and Neural Networks" — everything in the predictor stack reduces to simple
 //! one-variable linear regression ([`Fit`]) plus a handful of error metrics
-//! ([`metrics`]).
+//! ([`metrics`]). Least squares is the only estimator: corrupted
+//! measurements are quarantined during collection (`dnnperf_data::hygiene`)
+//! rather than down-weighted by the fit.
 //!
 //! # Examples
 //!
@@ -30,16 +32,9 @@
 pub mod accum;
 pub mod metrics;
 pub mod ols;
-pub mod robust;
 pub mod stats;
 
-pub use accum::{fit_bounded_segments, OlsAccum, WlsAccum, FIT_CHUNK};
+pub use accum::{fit_bounded_segments, OlsAccum, FIT_CHUNK};
 pub use metrics::{mean_abs_rel_error, median, percentile, ratio_curve, SCurvePoint};
-pub use ols::{
-    fit, fit_bounded_intercept, fit_plane, fit_through_origin, Fit, FitError, Line, PlaneFit,
-};
-pub use robust::{
-    fit_bounded_intercept_huber, fit_bounded_intercept_with, fit_huber, fit_with, Estimator,
-    HUBER_K,
-};
-pub use stats::{mean, pearson, variance};
+pub use ols::{fit, fit_bounded_intercept, fit_through_origin, Fit, FitError, Line};
+pub use stats::{mean, pearson};

@@ -266,102 +266,6 @@ pub fn fit_bounded_intercept(xs: &[f64], ys: &[f64]) -> Result<Fit, FitError> {
     crate::accum::fit_bounded_segments(&acc, &[(xs, ys)])
 }
 
-/// Coefficients of a two-feature affine fit `y = a*x1 + b*x2 + c`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlaneFit {
-    /// Coefficient of the first feature.
-    pub a: f64,
-    /// Coefficient of the second feature.
-    pub b: f64,
-    /// Intercept.
-    pub c: f64,
-}
-
-impl PlaneFit {
-    /// Evaluates the fitted plane.
-    pub fn eval(&self, x1: f64, x2: f64) -> f64 {
-        self.a * x1 + self.b * x2 + self.c
-    }
-}
-
-/// Fits `y = a*x1 + b*x2 + c` by least squares (3x3 normal equations).
-///
-/// # Errors
-///
-/// Returns [`FitError::LengthMismatch`] if the slices differ in length,
-/// [`FitError::TooFewPoints`] with fewer than three samples, and
-/// [`FitError::DegenerateX`] when the normal matrix is singular (e.g. the
-/// features are collinear).
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), dnnperf_linreg::FitError> {
-/// let x1 = [1.0, 2.0, 3.0, 4.0];
-/// let x2 = [1.0, 0.0, 1.0, 0.0];
-/// let ys = [4.0, 5.0, 8.0, 9.0]; // y = 2*x1 + 1*x2 + 1
-/// let p = dnnperf_linreg::fit_plane(&x1, &x2, &ys)?;
-/// assert!((p.a - 2.0).abs() < 1e-9 && (p.b - 1.0).abs() < 1e-9 && (p.c - 1.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn fit_plane(x1: &[f64], x2: &[f64], ys: &[f64]) -> Result<PlaneFit, FitError> {
-    if x1.len() != ys.len() || x2.len() != ys.len() {
-        return Err(FitError::LengthMismatch {
-            xs: x1.len().min(x2.len()),
-            ys: ys.len(),
-        });
-    }
-    if ys.len() < 3 {
-        return Err(FitError::TooFewPoints { got: ys.len() });
-    }
-    // Normal equations A^T A beta = A^T y with columns [x1, x2, 1].
-    let n = ys.len() as f64;
-    let (mut s11, mut s12, mut s1, mut s22, mut s2) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut t1, mut t2, mut t0) = (0.0, 0.0, 0.0);
-    for ((&a, &b), &y) in x1.iter().zip(x2).zip(ys) {
-        s11 += a * a;
-        s12 += a * b;
-        s1 += a;
-        s22 += b * b;
-        s2 += b;
-        t1 += a * y;
-        t2 += b * y;
-        t0 += y;
-    }
-    let mut m = [[s11, s12, s1, t1], [s12, s22, s2, t2], [s1, s2, n, t0]];
-    // Gaussian elimination with partial pivoting.
-    for col in 0..3 {
-        // `(col..3).max_by(...)` with the last maximum winning ties,
-        // written without the range-is-nonempty `expect`.
-        let pivot = (col + 1..3).fold(col, |b, r| {
-            if m[r][col].abs().total_cmp(&m[b][col].abs()).is_ge() {
-                r
-            } else {
-                b
-            }
-        });
-        m.swap(col, pivot);
-        if m[col][col].abs() < 1e-30 {
-            return Err(FitError::DegenerateX);
-        }
-        for row in 0..3 {
-            if row != col {
-                let factor = m[row][col] / m[col][col];
-                let pivot_row = m[col];
-                for (cell, pivot_cell) in m[row].iter_mut().zip(pivot_row).skip(col) {
-                    *cell -= factor * pivot_cell;
-                }
-            }
-        }
-    }
-    Ok(PlaneFit {
-        a: m[0][3] / m[0][0],
-        b: m[1][3] / m[1][1],
-        c: m[2][3] / m[2][2],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,38 +364,6 @@ mod tests {
         let f = fit_bounded_intercept(&xs, &ys).unwrap();
         assert!(f.line.intercept <= 5.0, "intercept {}", f.line.intercept);
         assert!(f.line.intercept >= 0.0);
-    }
-
-    #[test]
-    fn plane_fit_collinear_features_is_degenerate() {
-        let x1 = [1.0, 2.0, 3.0, 4.0];
-        let x2 = [2.0, 4.0, 6.0, 8.0]; // x2 = 2*x1
-        let ys = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(fit_plane(&x1, &x2, &ys), Err(FitError::DegenerateX));
-    }
-
-    #[test]
-    fn plane_fit_too_few_points() {
-        assert_eq!(
-            fit_plane(&[1.0, 2.0], &[0.0, 1.0], &[1.0, 2.0]),
-            Err(FitError::TooFewPoints { got: 2 })
-        );
-    }
-
-    #[test]
-    fn plane_fit_minimizes_noisy_residuals() {
-        let x1: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let x2: Vec<f64> = (0..30).map(|i| ((i * 7) % 11) as f64).collect();
-        let ys: Vec<f64> = x1
-            .iter()
-            .zip(&x2)
-            .enumerate()
-            .map(|(i, (a, b))| 3.0 * a - 2.0 * b + 5.0 + if i % 2 == 0 { 0.1 } else { -0.1 })
-            .collect();
-        let p = fit_plane(&x1, &x2, &ys).unwrap();
-        assert!((p.a - 3.0).abs() < 0.05, "{p:?}");
-        assert!((p.b + 2.0).abs() < 0.05, "{p:?}");
-        assert!((p.c - 5.0).abs() < 0.3, "{p:?}");
     }
 
     #[test]

@@ -17,25 +17,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance of a sample (divides by `n`, not `n - 1`).
-///
-/// # Examples
-///
-/// ```
-/// let v = dnnperf_linreg::variance(&[1.0, 3.0]);
-/// assert_eq!(v, 1.0);
-/// ```
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Pearson correlation coefficient between two equal-length samples.
 ///
-/// Returns `0.0` if either sample is constant (zero variance) or empty.
+/// Returns `0.0` if either sample is constant or empty.
 ///
 /// # Panics
 ///
@@ -80,18 +64,6 @@ mod tests {
     #[test]
     fn mean_of_singleton() {
         assert_eq!(mean(&[7.5]), 7.5);
-    }
-
-    #[test]
-    fn variance_of_constant_is_zero() {
-        assert_eq!(variance(&[4.0, 4.0, 4.0]), 0.0);
-    }
-
-    #[test]
-    fn variance_known_value() {
-        // Population variance of {2, 4, 4, 4, 5, 5, 7, 9} is 4.
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the regression and metric primitives.
 
 use dnnperf_linreg::{
-    fit, fit_bounded_intercept, fit_huber, fit_through_origin, mean_abs_rel_error, median,
-    percentile, ratio_curve, Line, OlsAccum, WlsAccum, FIT_CHUNK, HUBER_K,
+    fit, fit_bounded_intercept, fit_through_origin, mean_abs_rel_error, percentile, ratio_curve,
+    OlsAccum, FIT_CHUNK,
 };
 use dnnperf_testkit::prelude::*;
 
@@ -227,98 +227,4 @@ props! {
             prop_assert_eq!(folded.fit().unwrap(), f);
         }
     }
-
-    #[test]
-    fn huber_chunked_irls_matches_serial_reference(xs in finite_xs(), noise in vec(-0.5..0.5f64, 40), out_at in 0..40usize, out_mag in 5.0..50.0f64) {
-        // fit_huber assembles each IRLS round from per-chunk WlsAccum
-        // partials; a straight serial two-pass weighted-sum IRLS must
-        // converge to the same line.
-        let n = xs.len().min(noise.len());
-        let mut ys: Vec<f64> = xs[..n].iter().zip(&noise).map(|(x, e)| 2.0 * x + 5.0 + e).collect();
-        ys[out_at % n] += out_mag * 1e3;
-        let xs = &xs[..n];
-        let f = fit_huber(xs, &ys).unwrap();
-        let r = huber_reference(xs, &ys);
-        let scale = r.slope.abs().max(1.0);
-        prop_assert!((f.line.slope - r.slope).abs() < 1e-6 * scale, "slope {} vs {}", f.line.slope, r.slope);
-        prop_assert!((f.line.intercept - r.intercept).abs() < 1e-4 * r.intercept.abs().max(1.0));
-    }
-
-    #[test]
-    fn wls_merge_is_associative_in_value(xs in finite_xs(), wseed in vec(0.1..2.0f64, 40), c in 1..39usize) {
-        let n = xs.len().min(wseed.len());
-        let ys: Vec<f64> = xs[..n].iter().map(|x| 0.75 * x - 2.0).collect();
-        let cut = 1 + c % (n - 1);
-        let mut whole = WlsAccum::new();
-        let mut lo = WlsAccum::new();
-        let mut hi = WlsAccum::new();
-        for (i, ((x, y), w)) in xs[..n].iter().zip(&ys).zip(&wseed).enumerate() {
-            whole.push(*x, *y, *w);
-            if i < cut {
-                lo.push(*x, *y, *w);
-            } else {
-                hi.push(*x, *y, *w);
-            }
-        }
-        lo.merge(&hi);
-        prop_assert_eq!(lo.count(), whole.count());
-        if let (Ok(lm), Ok(lw)) = (lo.line(), whole.line()) {
-            prop_assert!((lm.slope - lw.slope).abs() < 1e-9 * lw.slope.abs().max(1.0));
-            prop_assert!((lm.intercept - lw.intercept).abs() < 1e-6 * lw.intercept.abs().max(1.0));
-        }
-    }
-}
-
-/// The pre-accumulator IRLS: serial two-pass weighted sums per round, the
-/// same MAD sigma and Huber weights as `fit_huber`.
-fn huber_reference(xs: &[f64], ys: &[f64]) -> Line {
-    let mut line = fit(xs, ys).unwrap().line;
-    for _ in 0..25 {
-        let residuals: Vec<f64> = xs.iter().zip(ys).map(|(x, y)| y - line.eval(*x)).collect();
-        let med = median(&residuals);
-        let dev: Vec<f64> = residuals.iter().map(|r| (r - med).abs()).collect();
-        let sigma = 1.4826 * median(&dev);
-        if sigma <= 0.0 || !sigma.is_finite() {
-            break;
-        }
-        let ws: Vec<f64> = residuals
-            .iter()
-            .map(|r| {
-                let u = (r / sigma).abs();
-                if u <= HUBER_K {
-                    1.0
-                } else {
-                    HUBER_K / u
-                }
-            })
-            .collect();
-        let sw: f64 = ws.iter().sum();
-        let swx: f64 = ws.iter().zip(xs).map(|(w, x)| w * x).sum();
-        let swy: f64 = ws.iter().zip(ys).map(|(w, y)| w * y).sum();
-        let (mx, my) = (swx / sw, swy / sw);
-        let sxx: f64 = ws
-            .iter()
-            .zip(xs)
-            .map(|(w, x)| w * (x - mx) * (x - mx))
-            .sum();
-        let sxy: f64 = ws
-            .iter()
-            .zip(xs.iter().zip(ys))
-            .map(|(w, (x, y))| w * (x - mx) * (y - my))
-            .sum();
-        if sxx == 0.0 {
-            break;
-        }
-        let slope = sxy / sxx;
-        let next = Line::new(slope, my - slope * mx);
-        let moved = (next.slope - line.slope)
-            .abs()
-            .max((next.intercept - line.intercept).abs());
-        let scale = line.slope.abs().max(line.intercept.abs()).max(1e-300);
-        line = next;
-        if moved / scale < 1e-10 {
-            break;
-        }
-    }
-    line
 }

@@ -28,7 +28,6 @@
 //! note in `lint.toml` records the same policy for the profiler faults).
 
 use std::io::{ErrorKind, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Bytes of a frame's big-endian length prefix.
@@ -452,16 +451,6 @@ impl PanicPlan {
 pub struct InjectedWorkerPanic {
     /// The admission sequence number whose service crashed.
     pub seq: u64,
-}
-
-/// Monotonic source of deterministic-enough stream ids for tests that
-/// wrap ad-hoc streams without a client/connection numbering scheme.
-pub(crate) static NEXT_STREAM_ID: AtomicU64 = AtomicU64::new(0);
-
-/// A fresh stream id (process-unique; fine for unit tests, benches
-/// should derive ids from `(client, connection)` instead).
-pub fn next_stream_id() -> u64 {
-    NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -176,7 +176,7 @@ impl SizeRange for usize {
     }
 }
 
-/// A vector generator; see [`vec`].
+/// A vector generator; see [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecGen<G> {
     elem: G,
