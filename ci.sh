@@ -81,7 +81,9 @@ echo "==> perf regression gate (smoke profile vs committed BENCH_5.json)"
 # key without walking layers: the baseline's ns/kernel times the lookup
 # itself, not a hash. The cold walk is the uncached legacy sweep per
 # layer: one allocation-free kernel-map lookup plus the layer's
-# regressions, the cost every plan compile and IGKW answer pays.
+# regressions, the cost every plan compile and IGKW answer pays. The
+# cold sweep's checksum (the bits of every strict and graceful answer,
+# nearest-signature misses included) must match the baseline exactly.
 # Release build: the baseline was captured in release, and the tier-1 step
 # above has already built it.
 cargo run --release --offline -q -p dnnperf-bench --bin perf -- --smoke --check BENCH_5.json

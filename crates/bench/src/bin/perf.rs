@@ -15,6 +15,10 @@
 //! * **cold-walk ns/layer** — the uncompiled sweep divided by the number
 //!   of layers it walks: one kernel-map lookup and the layer's regressions
 //!   per layer, with no cache in front;
+//! * **cold-sweep checksum** — an FNV-1a hash of the bits of every strict
+//!   and graceful answer of the uncompiled sweep, whose held-out networks
+//!   include signatures the kernel map must answer by nearest fallback. It
+//!   pins the walk's answers, not its speed;
 //! * **train speedup at 8 threads** — pooled vs serial KW training. The
 //!   training pool clamps its worker count to the machine's cores, so on
 //!   a box with fewer than [`MIN_CORES_FOR_SPEEDUP_GATE`] cores the figure
@@ -40,7 +44,7 @@
 //!   or BENCH_9.json with `--train-scaling`);
 //! * `--check PATH` — validate the baseline, re-measure, then gate against
 //!   it row by row (see [`serving_table`] and [`scaling_table`]): the sweep
-//!   counts must match exactly, warm-predict ns/kernel and cold-walk
+//!   counts and the cold-sweep checksum must match exactly, warm-predict ns/kernel and cold-walk
 //!   ns/layer may not regress by more than 2x, and the warm-vs-legacy
 //!   speedup may not fall below 5x. With `--train-scaling`: the grid's
 //!   row and kernel-group counts must match exactly, and the 8-thread
@@ -127,13 +131,15 @@ struct Report {
     sweep_layers: usize,
     warm_ns_per_kernel: f64,
     cold_walk_ns_per_layer: f64,
+    cold_sweep_checksum: u64,
     warm_vs_legacy_speedup: f64,
     train_speedup_threads8: f64,
     entries: Vec<BenchResult>,
 }
 
 /// BENCH_5. The sweep counts are pinned because ns/kernel and ns/layer
-/// compare only over the same work.
+/// compare only over the same work, and the checksum because a faster walk
+/// must give the same answers.
 fn serving_table() -> Table<Report> {
     type R = Row<Report>;
     Table::new(
@@ -147,11 +153,33 @@ fn serving_table() -> Table<Report> {
                 .gate(Bound::AtMostTimes(MAX_NS_PER_KERNEL_REGRESSION)),
             R::fixed("cold_walk_ns_per_layer", 3, |r| r.cold_walk_ns_per_layer)
                 .gate(Bound::AtMostTimes(MAX_NS_PER_LAYER_REGRESSION)),
+            R::int("cold_sweep_checksum", |r| r.cold_sweep_checksum).gate(Bound::Exact),
             R::fixed("warm_vs_legacy_speedup", 2, |r| r.warm_vs_legacy_speedup)
                 .gate(Bound::Floor(MIN_WARM_SPEEDUP)),
             R::fixed("train_speedup_threads8", 2, |r| r.train_speedup_threads8),
         ],
     )
+}
+
+/// FNV-1a over the bits of the strict and graceful answer of every sweep
+/// pair, walked uncompiled. Shifted down to 53 bits, so the JSON number
+/// holds it exactly.
+fn sweep_checksum(suite: &Workflow, pairs: &[(Network, usize)]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (net, batch) in pairs {
+        let strict = suite.kw.predict_network(net, *batch).expect("predict");
+        let graceful = suite
+            .predict_graceful_uncompiled(net, *batch)
+            .expect("predict")
+            .seconds;
+        for byte in [strict, graceful]
+            .iter()
+            .flat_map(|s| s.to_bits().to_le_bytes())
+        {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash >> 11
 }
 
 fn run(smoke: bool) -> Report {
@@ -186,6 +214,7 @@ fn run(smoke: bool) -> Report {
         .map(|(n, b)| suite.plan(n, *b).expect("plan").num_terms())
         .sum();
     let sweep_layers: usize = pairs.iter().map(|(n, _)| n.layers().len()).sum();
+    let cold_sweep_checksum = sweep_checksum(&suite, &pairs);
     suite.invalidate_plans();
 
     let (net0, batch0) = (&pairs[0].0, pairs[0].1);
@@ -232,6 +261,7 @@ fn run(smoke: bool) -> Report {
         sweep_layers,
         warm_ns_per_kernel,
         cold_walk_ns_per_layer,
+        cold_sweep_checksum,
         warm_vs_legacy_speedup,
         train_speedup_threads8,
         entries,
@@ -404,8 +434,8 @@ fn main() {
         report.warm_ns_per_kernel, report.sweep_kernel_terms, report.sweep_pairs
     );
     println!(
-        "cold walk: {:.1} ns/layer over {} layers",
-        report.cold_walk_ns_per_layer, report.sweep_layers
+        "cold walk: {:.1} ns/layer over {} layers (checksum {})",
+        report.cold_walk_ns_per_layer, report.sweep_layers, report.cold_sweep_checksum
     );
     println!(
         "warm vs legacy speedup: {:.2}x   train speedup (8 threads): {}",

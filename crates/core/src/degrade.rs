@@ -30,8 +30,8 @@
 
 use crate::error::PredictError;
 use crate::kernelwise::LayerCoverage;
+use crate::mapping::sizes_of;
 use crate::workflow::Workflow;
-use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::Network;
 use std::fmt;
 use std::sync::Arc;
@@ -207,9 +207,10 @@ impl Workflow {
         Ok(self.walk(net, batch)?.graceful)
     }
 
-    /// The one implementation of the ladder. Each layer is priced once,
-    /// as [`crate::KwModel::predict_layer_coverage`] prices it, and the
-    /// same pass sums the strict KW seconds (uncovered work at zero).
+    /// The one implementation of the ladder. Each layer's sizes are taken
+    /// once, the layer is priced as
+    /// [`crate::KwModel::predict_layer_coverage`] prices it, and the same
+    /// pass sums the strict KW seconds (uncovered work at zero).
     pub(crate) fn walk(&self, net: &Network, batch: usize) -> Result<Walk, PredictError> {
         crate::error::validate_request(net, batch)?;
         let mut strict = 0.0;
@@ -218,8 +219,9 @@ impl Workflow {
         let mut notes = Vec::new();
         for (li, layer) in net.layers().iter().enumerate() {
             let tag = layer.type_tag();
-            let flops = layer_flops(layer) as f64 * batch as f64;
-            let (coverage, priced) = self.kw.price_layer(layer, batch);
+            let sizes = sizes_of(layer);
+            let flops = sizes.1 as f64 * batch as f64;
+            let (coverage, priced) = self.kw.price_layer(tag, sizes, batch);
             strict += coverage.seconds();
             terms += priced;
             match coverage {

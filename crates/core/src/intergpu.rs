@@ -15,9 +15,8 @@
 
 use crate::classify::{classify_view, Driver, KernelClassification};
 use crate::error::{PredictError, TrainError};
-use crate::mapping::KernelMap;
+use crate::mapping::{drivers, sizes_of, ById, KernelMap};
 use dnnperf_data::{Dataset, DatasetView, KernelRow};
-use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::{Layer, Network};
 use dnnperf_gpu::GpuSpec;
 use dnnperf_linreg::{fit_bounded_intercept, fit_through_origin, mean};
@@ -64,9 +63,30 @@ pub struct IgkwModel {
     kernels: BTreeMap<Arc<str>, KernelTransfer>,
     metric: TransferMetric,
     train_gpus: Vec<String>,
+    /// The transfer of each kernel id of `map`; `None` for a kernel
+    /// without one.
+    transfers: ById<Option<KernelTransfer>>,
 }
 
 impl IgkwModel {
+    /// The one constructor, shared by training and loading, so every model
+    /// resolves its transfer table.
+    fn assemble(
+        map: KernelMap,
+        kernels: BTreeMap<Arc<str>, KernelTransfer>,
+        metric: TransferMetric,
+        train_gpus: Vec<String>,
+    ) -> Self {
+        let transfers = map.resolve(|k| kernels.get(k).copied());
+        IgkwModel {
+            map,
+            kernels,
+            metric,
+            train_gpus,
+            transfers,
+        }
+    }
+
     /// Trains on the measurements of `gpus` (each must be present in the
     /// dataset) using the paper's bandwidth transfer metric.
     ///
@@ -190,12 +210,8 @@ impl IgkwModel {
                 got: 0,
             });
         }
-        Ok(IgkwModel {
-            map,
-            kernels,
-            metric,
-            train_gpus: gpus.iter().map(|g| g.name.clone()).collect(),
-        })
+        let train_gpus = gpus.iter().map(|g| g.name.clone()).collect();
+        Ok(IgkwModel::assemble(map, kernels, metric, train_gpus))
     }
 
     /// The GPUs the model was trained on.
@@ -279,12 +295,7 @@ impl IgkwModel {
             };
             kernels.insert(name, transfer);
         }
-        Ok(IgkwModel {
-            map,
-            kernels,
-            metric,
-            train_gpus,
-        })
+        Ok(IgkwModel::assemble(map, kernels, metric, train_gpus))
     }
 
     /// Number of kernels with a transfer model.
@@ -293,21 +304,18 @@ impl IgkwModel {
     }
 
     /// Predicts one layer's time on an arbitrary (possibly hypothetical)
-    /// GPU.
+    /// GPU. Each term reads its transfer by kernel id.
     pub fn predict_layer(&self, layer: &Layer, batch: usize, gpu: &GpuSpec) -> f64 {
-        let Some(kernels) = self.map.kernels_for(layer) else {
+        let sizes = sizes_of(layer);
+        let Some(recorded) = self.map.lookup(layer.type_tag(), sizes) else {
             return 0.0;
         };
-        let n = batch as f64;
-        let drivers = [
-            layer.input.elems() as f64 * n,
-            layer_flops(layer) as f64 * n,
-            layer.output.elems() as f64 * n,
-        ];
+        let drivers = drivers(sizes, batch);
         let m = metric_value(self.metric, gpu);
-        kernels
+        recorded
+            .ids()
             .iter()
-            .filter_map(|k| self.kernels.get(k))
+            .filter_map(|&id| self.transfers.get(id).and_then(Option::as_ref))
             .map(|t| {
                 let slope = t.coef / m + t.slope_floor;
                 (slope * drivers[t.driver.index()] + t.intercept).max(0.0)
@@ -363,6 +371,7 @@ impl IgkwModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::LayerSignature;
     use dnnperf_data::collect::collect;
     use dnnperf_gpu::Profiler;
     use dnnperf_linreg::mean_abs_rel_error;
@@ -443,6 +452,73 @@ mod tests {
         let ds = collect(&nets()[..2], &train_gpus()[..1], &[32]);
         let err = IgkwModel::train(&ds, &train_gpus()).unwrap_err();
         assert!(matches!(err, TrainError::NoDataForGpu { gpu } if gpu == "A40"));
+    }
+
+    /// IGKW pricing written the name-keyed way: the mapped kernel list,
+    /// then each kernel's transfer from the model's `BTreeMap`.
+    fn name_keyed(model: &IgkwModel, layer: &Layer, batch: usize, gpu: &GpuSpec) -> f64 {
+        let Some(kernels) = model.map.kernels_for(layer) else {
+            return 0.0;
+        };
+        let n = batch as f64;
+        let drivers = [
+            layer.input.elems() as f64 * n,
+            dnnperf_dnn::flops::layer_flops(layer) as f64 * n,
+            layer.output.elems() as f64 * n,
+        ];
+        let m = metric_value(model.metric, gpu);
+        kernels
+            .iter()
+            .filter_map(|k| model.kernels.get(k))
+            .map(|t| {
+                ((t.coef / m + t.slope_floor) * drivers[t.driver.index()] + t.intercept).max(0.0)
+            })
+            .sum()
+    }
+
+    #[test]
+    fn resolved_pricing_matches_the_name_keyed_reference() {
+        use dnnperf_testkit::prelude::*;
+        let gpus = &train_gpus()[..2];
+        let ds = collect(&nets()[..3], gpus, &[32]);
+        let trained = IgkwModel::train(&ds, gpus).unwrap();
+        let loaded = IgkwModel::from_text(&trained.to_text()).unwrap();
+        // Held-out layers: exact hits and nearest misses.
+        let probes: Vec<Layer> = [
+            dnnperf_dnn::zoo::densenet::densenet121(),
+            dnnperf_dnn::zoo::mobilenet::mobilenet_v2(1.4, 1.0),
+        ]
+        .iter()
+        .flat_map(|n| n.layers().to_vec())
+        .collect();
+        let hit = |l: &&Layer| {
+            let sig = LayerSignature::of_layer(l);
+            trained.map.entries().any(|(s, _)| *s == sig)
+        };
+        let hits = probes.iter().filter(hit).count();
+        assert!(
+            hits > 10 && probes.len() - hits > 10,
+            "{hits} of {}",
+            probes.len()
+        );
+        let gpus: Vec<GpuSpec> = GpuSpec::all();
+        run(
+            "intergpu::resolved_pricing_matches_the_name_keyed_reference",
+            &(vec(0..probes.len(), 1..20), 1usize..600, 0..gpus.len()),
+            |(layers, batch, g)| {
+                let gpu = &gpus[g];
+                for model in [&trained, &loaded] {
+                    for &i in &layers {
+                        let layer = &probes[i];
+                        prop_assert_eq!(
+                            model.predict_layer(layer, batch, gpu).to_bits(),
+                            name_keyed(model, layer, batch, gpu).to_bits(),
+                            "{layer:?}"
+                        );
+                    }
+                }
+            },
+        );
     }
 
     #[test]

@@ -10,10 +10,9 @@
 use crate::classify::{classify_view, Driver, KernelClassification};
 use crate::cluster::{cluster_view, Clustering, DEFAULT_SLOPE_TOLERANCE};
 use crate::error::{PredictError, TrainError};
-use crate::mapping::KernelMap;
+use crate::mapping::{drivers, sizes_of, ById, KernelMap, SizeKey};
 use crate::model::Predictor;
 use dnnperf_data::{Dataset, DatasetView};
-use dnnperf_dnn::flops::layer_flops;
 use dnnperf_dnn::{Layer, Network};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -63,9 +62,30 @@ pub struct KwModel {
     map: KernelMap,
     classes: BTreeMap<Arc<str>, KernelClassification>,
     clustering: Clustering,
+    /// The cluster slot, an index into [`Clustering::models`], of each
+    /// kernel id of `map`; `None` for a kernel without a cluster.
+    slots: ById<Option<usize>>,
 }
 
 impl KwModel {
+    /// The one constructor: training, loading and the ablated model all
+    /// pass through it, so every model resolves its slot table.
+    fn assemble(
+        gpu: String,
+        map: KernelMap,
+        classes: BTreeMap<Arc<str>, KernelClassification>,
+        clustering: Clustering,
+    ) -> Self {
+        let slots = map.resolve(|k| clustering.cluster_of(k));
+        KwModel {
+            gpu,
+            map,
+            classes,
+            clustering,
+            slots,
+        }
+    }
+
     /// Trains on the kernel rows of `gpu` with the default clustering
     /// tolerance.
     ///
@@ -129,12 +149,7 @@ impl KwModel {
         let view = DatasetView::from_refs(&rows);
         let classes = classify_view(&view, threads);
         let clustering = cluster_view(&view, &classes, slope_tolerance, threads);
-        Ok(KwModel {
-            gpu: gpu.to_string(),
-            map,
-            classes,
-            clustering,
-        })
+        Ok(KwModel::assemble(gpu.to_string(), map, classes, clustering))
     }
 
     /// Number of distinct kernel symbols seen in training (paper: ~182 on
@@ -297,12 +312,7 @@ impl KwModel {
             assignment.insert(kernel, id);
         }
         let clustering = crate::cluster::Clustering::from_parts(assignment, models);
-        Ok(KwModel {
-            gpu,
-            map,
-            classes,
-            clustering,
-        })
+        Ok(KwModel::assemble(gpu, map, classes, clustering))
     }
 
     /// Predicts how many kernel launches one inference batch of `net` will
@@ -327,35 +337,44 @@ impl KwModel {
     /// Predicts the time of a single layer at `batch` and reports how much
     /// of the layer's kernel work was actually priced.
     pub fn predict_layer_coverage(&self, layer: &Layer, batch: usize) -> LayerCoverage {
-        self.price_layer(layer, batch).0
+        self.price_layer(layer.type_tag(), sizes_of(layer), batch).0
     }
 
-    /// [`KwModel::predict_layer_coverage`] plus the number of kernel terms
-    /// it priced (mapped kernels that have a cluster regression).
-    pub(crate) fn price_layer(&self, layer: &Layer, batch: usize) -> (LayerCoverage, usize) {
-        let Some(kernels) = self.map.kernels_for(layer) else {
+    /// [`KwModel::predict_layer_coverage`] of a layer of type `tag` with
+    /// per-sample `sizes`, plus the number of kernel terms it priced
+    /// (mapped kernels that have a cluster regression). Each term reads
+    /// its cluster by kernel id.
+    pub(crate) fn price_layer(
+        &self,
+        tag: &str,
+        sizes: SizeKey,
+        batch: usize,
+    ) -> (LayerCoverage, usize) {
+        let Some(recorded) = self.map.lookup(tag, sizes) else {
             // Layer type never recorded: either it launches no kernels
             // (flatten) or it is genuinely outside the training set. The
             // caller decides which via [`LayerCoverage::Unmapped`].
             return (LayerCoverage::Unmapped, 0);
         };
-        let n = batch as f64;
-        let drivers = [
-            layer.input.elems() as f64 * n,
-            layer_flops(layer) as f64 * n,
-            layer.output.elems() as f64 * n,
-        ];
+        let drivers = drivers(sizes, batch);
+        let models = self.clustering.models();
         let mut seconds = 0.0;
         let mut missing = Vec::new();
-        for k in kernels {
-            match self.clustering.model_for(k) {
+        for (&id, k) in recorded.ids().iter().zip(recorded.kernels()) {
+            match self
+                .slots
+                .get(id)
+                .copied()
+                .flatten()
+                .and_then(|s| models.get(s))
+            {
                 Some((driver, fit)) => {
                     seconds += fit.predict(drivers[driver.index()]).max(0.0);
                 }
                 None => missing.push(k.clone()),
             }
         }
-        let terms = kernels.len() - missing.len();
+        let terms = recorded.ids().len() - missing.len();
         if missing.is_empty() {
             (LayerCoverage::Full(seconds), terms)
         } else {
@@ -416,12 +435,7 @@ impl KwFlopsOnlyModel {
         }
         let clustering = cluster_view(&view, &classes, DEFAULT_SLOPE_TOLERANCE, 1);
         Ok(KwFlopsOnlyModel {
-            inner: KwModel {
-                gpu: gpu.to_string(),
-                map,
-                classes,
-                clustering,
-            },
+            inner: KwModel::assemble(gpu.to_string(), map, classes, clustering),
         })
     }
 }

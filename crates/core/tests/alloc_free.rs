@@ -1,9 +1,10 @@
-//! `KernelMap::kernels_for` allocates nothing, on an exact hit or on a
+//! `KernelMap::kernels_for`, `KwModel::predict_layer` and
+//! `IgkwModel::predict_layer` allocate nothing, on an exact hit or on a
 //! nearest-signature miss. A counting global allocator tallies the heap
 //! allocations of the current thread, so tests running in parallel do not
 //! see each other's.
 
-use dnnperf_core::{KernelMap, LayerSignature};
+use dnnperf_core::{IgkwModel, KernelMap, KwModel, LayerSignature};
 use dnnperf_data::collect::collect;
 use dnnperf_dnn::{zoo, Conv2d, Layer, LayerKind, TensorShape};
 use dnnperf_gpu::GpuSpec;
@@ -60,6 +61,22 @@ fn resnet18_map() -> KernelMap {
     KernelMap::from_rows(&ds.kernels)
 }
 
+/// A convolution shape ResNet-18 does not have.
+fn odd_conv() -> Layer {
+    Layer::apply(
+        LayerKind::Conv2d(Conv2d::square(96, 96, 3, 1, 1)),
+        TensorShape::chw(96, 30, 30),
+    )
+    .unwrap()
+}
+
+/// A ResNet-18 convolution: an exact hit for models trained on ResNet-18.
+fn resnet18_conv() -> Layer {
+    let net = zoo::resnet::resnet18();
+    let conv = net.layers().iter().find(|l| l.type_tag() == "conv");
+    conv.unwrap().clone()
+}
+
 fn recorded(map: &KernelMap, layer: &Layer) -> bool {
     let sig = LayerSignature::of_layer(layer);
     map.entries().any(|(s, _)| *s == sig)
@@ -93,6 +110,38 @@ fn nearest_fallback_allocates_nothing() {
     let (kernels, n) = allocations(|| map.kernels_for(&odd).map(<[_]>::len));
     assert!(kernels.is_some_and(|k| k > 0));
     assert_eq!(n, 0, "nearest fallback allocated {n} times");
+}
+
+#[test]
+fn kw_pricing_allocates_nothing_on_a_covered_hit_or_miss() {
+    let gpu = GpuSpec::by_name("A100").unwrap();
+    let ds = collect(&[zoo::resnet::resnet18()], &[gpu], &[16]);
+    let kw = KwModel::train(&ds, "A100").unwrap();
+    for (layer, hit) in [(resnet18_conv(), true), (odd_conv(), false)] {
+        assert_eq!(recorded(kw.mapping(), &layer), hit);
+        assert!(kw.predict_layer_coverage(&layer, 8).is_full());
+        let (seconds, n) = allocations(|| kw.predict_layer(&layer, 8));
+        assert!(seconds > 0.0);
+        assert_eq!(n, 0, "KW pricing (hit: {hit}) allocated {n} times");
+    }
+}
+
+#[test]
+fn igkw_pricing_allocates_nothing_on_a_hit_or_miss() {
+    let gpus = [
+        GpuSpec::by_name("A100").unwrap(),
+        GpuSpec::by_name("V100").unwrap(),
+    ];
+    let ds = collect(&[zoo::resnet::resnet18()], &gpus, &[8, 32]);
+    let igkw = IgkwModel::train(&ds, &gpus).unwrap();
+    let target = GpuSpec::by_name("TITAN RTX").unwrap();
+    let map = resnet18_map();
+    for (layer, hit) in [(resnet18_conv(), true), (odd_conv(), false)] {
+        assert_eq!(recorded(&map, &layer), hit);
+        let (seconds, n) = allocations(|| igkw.predict_layer(&layer, 8, &target));
+        assert!(seconds > 0.0);
+        assert_eq!(n, 0, "IGKW pricing (hit: {hit}) allocated {n} times");
+    }
 }
 
 #[test]

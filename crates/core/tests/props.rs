@@ -1,15 +1,16 @@
 //! Property-based tests for the predictor stack's invariants.
 
 use dnnperf_core::{
-    classify_kernels, cluster_kernels, KernelMap, KwModel, LayerSignature, Predictor,
+    classify_kernels, cluster_kernels, KernelMap, KwModel, LayerCoverage, LayerSignature, Predictor,
 };
 use dnnperf_data::collect::collect;
 use dnnperf_data::KernelRow;
-use dnnperf_dnn::{ActivationFn, Conv2d, Layer, LayerKind, TensorShape};
+use dnnperf_dnn::flops::layer_flops;
+use dnnperf_dnn::{ActivationFn, Conv2d, Family, Layer, LayerKind, Network, TensorShape};
 use dnnperf_gpu::GpuSpec;
 use dnnperf_testkit::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn arb_rows() -> impl Gen<Value = Vec<KernelRow>> {
     vec((0usize..6, 1u64..1_000_000, 1e-7..1e-2f64), 8..80).prop_map(|specs| {
@@ -492,6 +493,221 @@ props! {
                 let first: &[Arc<str>] = &[Arc::from("k0")];
                 prop_assert_eq!(got, Some(first));
             }
+        }
+    }
+}
+
+/// A ReLU over `size` features: its signature is `(size, size, size)`.
+fn relu(size: u64) -> Layer {
+    Layer::apply(
+        LayerKind::Activation(ActivationFn::Relu),
+        TensorShape::features(size as usize),
+    )
+    .unwrap()
+}
+
+/// An `act` signature.
+fn act([in_per, flops_per, out_per]: [u64; 3]) -> LayerSignature {
+    LayerSignature {
+        tag: Arc::from("act"),
+        in_per,
+        flops_per,
+        out_per,
+    }
+}
+
+/// Builds the map and the reference from `entries`, the first `split` of
+/// them inserted directly and the rest merged in from a second map.
+fn build_merged(
+    entries: &[(LayerSignature, Vec<Arc<str>>)],
+    split: usize,
+) -> (KernelMap, ReferenceMap) {
+    let (left, right) = entries.split_at(split.min(entries.len()));
+    let (mut map, mut reference) = build(left);
+    let (other_map, other_reference) = build(right);
+    map.merge(other_map);
+    reference.merge(other_reference);
+    (map, reference)
+}
+
+props! {
+    #[test]
+    fn misses_among_candidates_sharing_the_pruned_coordinate_match_the_reference(
+        flops in arb_size(),
+        sharing in vec((arb_size(), arb_size()), 1..40),
+        decoys in vec(arb_sig(), 0..20),
+        sizes in vec(arb_size(), 1..8),
+        split in 0usize..60,
+    ) {
+        // Every `act` candidate but the decoys has the queries' flops
+        // coordinate, so the pruned search can skip none of them, and the
+        // small size pool makes exact distance ties common.
+        let mut sigs: Vec<LayerSignature> = sharing
+            .iter()
+            .map(|&(in_per, out_per)| act([in_per, flops, out_per]))
+            .collect();
+        sigs.extend(decoys);
+        let queries: Vec<Layer> = sizes.iter().map(|&s| relu(s)).chain([relu(flops)]).collect();
+        let entries = insertion_order(&sigs, &[], &[]);
+        for (map, reference) in [build(&entries), build_merged(&entries, split)] {
+            prop_assert_eq!(map.len(), reference.exact.len());
+            for layer in &queries {
+                prop_assert_eq!(map.kernels_for(layer), reference.kernels_for(layer), "{layer:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ties_recorded_out_of_coordinate_order_match_the_reference(
+        size in arb_size(),
+        other in arb_size(),
+        order in 0usize..6,
+        sharing in vec(arb_size(), 0..10),
+        split in 0usize..4,
+    ) {
+        // The three tied candidates sit at bit-equal distances from the
+        // query; the one that moved its flops coordinate is the only one
+        // off the query's flops coordinate, and every order of the three
+        // records it first, second or last.
+        if size != other {
+            let mut tied = vec![
+                act([other, size, size]),
+                act([size, other, size]),
+                act([size, size, other]),
+            ];
+            tied.rotate_left(order % 3);
+            if order >= 3 {
+                tied.reverse();
+            }
+            // More candidates on the query's flops coordinate, farther away.
+            let layer = relu(size);
+            let query = LayerSignature::of_layer(&layer);
+            let tie = distance(&query, &tied[0]);
+            tied.extend(
+                sharing
+                    .into_iter()
+                    .map(|s| act([s, size, s]))
+                    .filter(|s| distance(&query, s) > tie),
+            );
+            let entries = insertion_order(&tied, &[], &[]);
+            let (map, reference) = build(&entries);
+            let first: &[Arc<str>] = &[Arc::from("k0")];
+            prop_assert_eq!(map.kernels_for(&layer), Some(first));
+            prop_assert_eq!(map.kernels_for(&layer), reference.kernels_for(&layer));
+            // Merged in, the tied three are inserted in signature order.
+            let (map, reference) = build_merged(&entries, split);
+            prop_assert_eq!(map.kernels_for(&layer), reference.kernels_for(&layer));
+        }
+    }
+}
+
+/// A KW model trained on a few zoo networks, and its reloaded copy (whose
+/// kernel ids follow file order instead of row order).
+struct TrainedKw {
+    trained: KwModel,
+    loaded: KwModel,
+    /// Layers of held-out networks: exact hits and nearest misses.
+    probes: Vec<Layer>,
+}
+
+fn trained_kw() -> &'static TrainedKw {
+    static KW: OnceLock<TrainedKw> = OnceLock::new();
+    KW.get_or_init(|| {
+        let nets = [
+            dnnperf_dnn::zoo::resnet::resnet18(),
+            dnnperf_dnn::zoo::vgg::vgg11(),
+            dnnperf_dnn::zoo::mobilenet::mobilenet_v2(1.0, 1.0),
+        ];
+        let ds = collect(&nets, &[GpuSpec::by_name("A100").unwrap()], &[32]);
+        let trained = KwModel::train(&ds, "A100").unwrap();
+        let loaded = KwModel::from_text(&trained.to_text()).unwrap();
+        let probes = [
+            dnnperf_dnn::zoo::resnet::resnet50(),
+            dnnperf_dnn::zoo::mobilenet::mobilenet_v2(1.4, 1.0),
+        ]
+        .iter()
+        .flat_map(|n| n.layers().to_vec())
+        .collect();
+        TrainedKw {
+            trained,
+            loaded,
+            probes,
+        }
+    })
+}
+
+/// KW pricing written the name-keyed way: the mapped kernel list, then
+/// each kernel's cluster by [`Clustering::model_for`](dnnperf_core::Clustering::model_for).
+fn kw_reference(kw: &KwModel, layer: &Layer, batch: usize) -> LayerCoverage {
+    let Some(kernels) = kw.mapping().kernels_for(layer) else {
+        return LayerCoverage::Unmapped;
+    };
+    let n = batch as f64;
+    let drivers = [
+        layer.input.elems() as f64 * n,
+        layer_flops(layer) as f64 * n,
+        layer.output.elems() as f64 * n,
+    ];
+    let mut seconds = 0.0;
+    let mut missing = Vec::new();
+    for k in kernels {
+        match kw.clustering().model_for(k) {
+            Some((driver, fit)) => seconds += fit.predict(drivers[driver.index()]).max(0.0),
+            None => missing.push(k.clone()),
+        }
+    }
+    if missing.is_empty() {
+        LayerCoverage::Full(seconds)
+    } else {
+        LayerCoverage::Partial { seconds, missing }
+    }
+}
+
+#[test]
+fn kw_probe_layers_include_hits_and_misses() {
+    let kw = trained_kw();
+    let recorded: Vec<&LayerSignature> = kw.trained.mapping().entries().map(|(s, _)| s).collect();
+    let mapped = |l: &&Layer| kw.trained.mapping().kernels_for(l).is_some();
+    let (hits, misses): (Vec<&Layer>, Vec<&Layer>) = kw
+        .probes
+        .iter()
+        .filter(mapped)
+        .partition(|l| recorded.contains(&&LayerSignature::of_layer(l)));
+    assert!(
+        hits.len() > 10 && misses.len() > 10,
+        "{} hits, {} misses",
+        hits.len(),
+        misses.len()
+    );
+}
+
+props! {
+    #[test]
+    fn resolved_kw_pricing_matches_the_name_keyed_reference(
+        layers in vec(
+            (any_bool(), arb_layer(), 0usize..10_000)
+                .prop_map(|(zoo, random, i)| {
+                    let probes = &trained_kw().probes;
+                    if zoo { probes[i % probes.len()].clone() } else { random }
+                }),
+            1..20,
+        ),
+        batch in 1usize..600,
+    ) {
+        let kw = trained_kw();
+        for model in [&kw.trained, &kw.loaded] {
+            let mut reference = Vec::new();
+            for layer in &layers {
+                let want = kw_reference(model, layer, batch);
+                let got = model.predict_layer_coverage(layer, batch);
+                prop_assert_eq!(got.seconds().to_bits(), want.seconds().to_bits(), "{layer:?}");
+                prop_assert_eq!(&got, &want, "{layer:?}");
+                prop_assert_eq!(model.predict_layer(layer, batch).to_bits(), want.seconds().to_bits());
+                reference.push(want.seconds());
+            }
+            let net = Network::from_parts("probe", Family::ResNet, layers[0].input, layers.clone());
+            let walked = model.predict_network(&net, batch).unwrap();
+            prop_assert_eq!(walked.to_bits(), reference.iter().sum::<f64>().to_bits());
         }
     }
 }

@@ -51,9 +51,12 @@ impl<E> Ord for Entry<E> {
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers of events scheduled but neither popped nor
-    /// cancelled. `len`/`is_empty`/`cancel` answer from this set.
-    pending: BTreeSet<u64>,
+    /// Number of events scheduled but neither popped nor cancelled.
+    live: usize,
+    /// Sequence numbers of the `schedule_cancellable` events still
+    /// pending: the only ones `cancel` can revoke. Plain `schedule` calls
+    /// never touch it.
+    revocable: BTreeSet<u64>,
     /// Sequence numbers cancelled while still in the heap; their entries
     /// are skipped (and forgotten) lazily when the heap surfaces them.
     cancelled: BTreeSet<u64>,
@@ -72,7 +75,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: BTreeSet::new(),
+            live: 0,
+            revocable: BTreeSet::new(),
             cancelled: BTreeSet::new(),
             seq: 0,
             now: 0.0,
@@ -86,12 +90,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (scheduled, not popped, not cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -101,7 +105,7 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is NaN or earlier than the current simulation time
     /// (causality violation).
     pub fn schedule(&mut self, at: f64, event: E) {
-        self.schedule_cancellable(at, event);
+        self.push(at, event);
     }
 
     /// Schedules `event` at absolute time `at` and returns a token that
@@ -114,6 +118,13 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is NaN or earlier than the current simulation time
     /// (causality violation).
     pub fn schedule_cancellable(&mut self, at: f64, event: E) -> CancelToken {
+        let seq = self.push(at, event);
+        self.revocable.insert(seq);
+        CancelToken(seq)
+    }
+
+    /// Schedules `event` at `at` and returns its sequence number.
+    fn push(&mut self, at: f64, event: E) -> u64 {
         assert!(!at.is_nan(), "event time must not be NaN");
         assert!(
             at >= self.now,
@@ -126,9 +137,9 @@ impl<E> EventQueue<E> {
             seq,
             event,
         });
-        self.pending.insert(seq);
-        self.seq += 1;
-        CancelToken(seq)
+        self.live = self.live.saturating_add(1);
+        self.seq = self.seq.wrapping_add(1);
+        seq
     }
 
     /// Cancels the event behind `token` if it is still pending. Returns
@@ -136,8 +147,9 @@ impl<E> EventQueue<E> {
     /// popped or cancelled. A cancelled event is never returned by
     /// [`EventQueue::pop`] and never advances the clock.
     pub fn cancel(&mut self, token: CancelToken) -> bool {
-        if self.pending.remove(&token.0) {
+        if self.revocable.remove(&token.0) {
             self.cancelled.insert(token.0);
+            self.live = self.live.saturating_sub(1);
             true
         } else {
             false
@@ -152,7 +164,8 @@ impl<E> EventQueue<E> {
             if self.cancelled.remove(&e.seq) {
                 continue;
             }
-            self.pending.remove(&e.seq);
+            self.revocable.remove(&e.seq);
+            self.live = self.live.saturating_sub(1);
             self.now = e.time;
             return Some((e.time, e.event));
         }
