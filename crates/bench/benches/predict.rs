@@ -46,9 +46,14 @@ fn main() {
     bench("predict_resnet50/kw", 10, 100, || {
         kw.predict_network(black_box(&net), 256).unwrap()
     });
+    // IGKW prices an unseen GPU by specialising once and then walking the
+    // specialised KW model; the two costs are timed apart.
+    bench("igkw/specialise_unseen_gpu", 10, 100, || {
+        igkw.specialise(black_box(&titan))
+    });
+    let specialised = igkw.specialise(&titan);
     bench("predict_resnet50/igkw_unseen_gpu", 10, 100, || {
-        igkw.predict_network_on(black_box(&net), 256, &titan)
-            .unwrap()
+        specialised.predict_network(black_box(&net), 256).unwrap()
     });
 
     bench("train/e2e", 2, 10, || {

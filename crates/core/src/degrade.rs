@@ -221,7 +221,7 @@ impl Workflow {
             let tag = layer.type_tag();
             let sizes = sizes_of(layer);
             let flops = sizes.1 as f64 * batch as f64;
-            let (coverage, priced) = self.kw.price_layer(tag, sizes, batch);
+            let (coverage, priced) = self.kw.layer_coverage(tag, sizes, batch);
             strict += coverage.seconds();
             terms += priced;
             match coverage {

@@ -12,14 +12,26 @@
 //! Trained on a few diverse GPUs, it then predicts kernels — and hence whole
 //! networks — on GPUs absent from the training set, including hypothetical
 //! configurations (Case Study 1).
+//!
+//! The model does not price layers itself. For a target GPU it is
+//! [specialised](IgkwModel::specialise) into a [`KwModel`]: the IGKW
+//! mapping table (shared, not copied) and one single-kernel cluster per
+//! transfer line, whose slope is evaluated once at that GPU's metric. Every
+//! prediction is then the strict KW walk, so one pricing loop,
+//! [`KwModel`]'s, serves both models. A kernel without a transfer line has
+//! no cluster in the specialised model: it is priced at zero, and the
+//! model's [`KwModel::predict_layer_coverage`] names it.
 
 use crate::classify::{classify_view, Driver, KernelClassification};
+use crate::cluster::Clustering;
 use crate::error::{PredictError, TrainError};
-use crate::mapping::{drivers, sizes_of, ById, KernelMap};
+use crate::kernelwise::KwModel;
+use crate::mapping::KernelMap;
+use crate::model::Predictor;
 use dnnperf_data::{Dataset, DatasetView, KernelRow};
-use dnnperf_dnn::{Layer, Network};
+use dnnperf_dnn::Network;
 use dnnperf_gpu::GpuSpec;
-use dnnperf_linreg::{fit_bounded_intercept, fit_through_origin, mean};
+use dnnperf_linreg::{fit_bounded_intercept, fit_through_origin, mean, Fit, Line};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,34 +71,14 @@ fn metric_value(metric: TransferMetric, gpu: &GpuSpec) -> f64 {
 /// The Inter-GPU Kernel-Wise model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IgkwModel {
-    map: KernelMap,
+    /// Shared with every model specialised from this one.
+    map: Arc<KernelMap>,
     kernels: BTreeMap<Arc<str>, KernelTransfer>,
     metric: TransferMetric,
     train_gpus: Vec<String>,
-    /// The transfer of each kernel id of `map`; `None` for a kernel
-    /// without one.
-    transfers: ById<Option<KernelTransfer>>,
 }
 
 impl IgkwModel {
-    /// The one constructor, shared by training and loading, so every model
-    /// resolves its transfer table.
-    fn assemble(
-        map: KernelMap,
-        kernels: BTreeMap<Arc<str>, KernelTransfer>,
-        metric: TransferMetric,
-        train_gpus: Vec<String>,
-    ) -> Self {
-        let transfers = map.resolve(|k| kernels.get(k).copied());
-        IgkwModel {
-            map,
-            kernels,
-            metric,
-            train_gpus,
-            transfers,
-        }
-    }
-
     /// Trains on the measurements of `gpus` (each must be present in the
     /// dataset) using the paper's bandwidth transfer metric.
     ///
@@ -210,8 +202,12 @@ impl IgkwModel {
                 got: 0,
             });
         }
-        let train_gpus = gpus.iter().map(|g| g.name.clone()).collect();
-        Ok(IgkwModel::assemble(map, kernels, metric, train_gpus))
+        Ok(IgkwModel {
+            map: Arc::new(map),
+            kernels,
+            metric,
+            train_gpus: gpus.iter().map(|g| g.name.clone()).collect(),
+        })
     }
 
     /// The GPUs the model was trained on.
@@ -295,7 +291,12 @@ impl IgkwModel {
             };
             kernels.insert(name, transfer);
         }
-        Ok(IgkwModel::assemble(map, kernels, metric, train_gpus))
+        Ok(IgkwModel {
+            map: Arc::new(map),
+            kernels,
+            metric,
+            train_gpus,
+        })
     }
 
     /// Number of kernels with a transfer model.
@@ -303,27 +304,49 @@ impl IgkwModel {
         self.kernels.len()
     }
 
-    /// Predicts one layer's time on an arbitrary (possibly hypothetical)
-    /// GPU. Each term reads its transfer by kernel id.
-    pub fn predict_layer(&self, layer: &Layer, batch: usize, gpu: &GpuSpec) -> f64 {
-        let sizes = sizes_of(layer);
-        let Some(recorded) = self.map.lookup(layer.type_tag(), sizes) else {
-            return 0.0;
-        };
-        let drivers = drivers(sizes, batch);
-        let m = metric_value(self.metric, gpu);
-        recorded
-            .ids()
-            .iter()
-            .filter_map(|&id| self.transfers.get(id).and_then(Option::as_ref))
-            .map(|t| {
-                let slope = t.coef / m + t.slope_floor;
-                (slope * drivers[t.driver.index()] + t.intercept).max(0.0)
-            })
-            .sum()
+    /// The value of the model's transfer metric on `gpu`: all that
+    /// [`IgkwModel::specialise`] reads of the spec besides its name.
+    pub(crate) fn metric_on(&self, gpu: &GpuSpec) -> f64 {
+        metric_value(self.metric, gpu)
     }
 
-    /// Predicts a network's end-to-end time on an arbitrary GPU.
+    /// The KW model this model prices `gpu` with: named after `gpu`, with
+    /// this model's mapping table (shared, not copied), no kernel
+    /// classifications, and one single-kernel cluster per transfer line,
+    /// in kernel-symbol order, whose line is
+    /// `slope = coef / metric(gpu) + slope_floor` and the transfer's
+    /// intercept. The clusters carry no fit statistics (`r2` 0, `n` 0):
+    /// they were derived, not fitted, on `gpu`.
+    ///
+    /// Kernels without a transfer line get no cluster, so the specialised
+    /// model prices them at zero and its
+    /// [`KwModel::predict_layer_coverage`] names them.
+    pub fn specialise(&self, gpu: &GpuSpec) -> KwModel {
+        let m = self.metric_on(gpu);
+        let mut assignment = BTreeMap::new();
+        let mut models = Vec::with_capacity(self.kernels.len());
+        for (k, t) in &self.kernels {
+            assignment.insert(Arc::clone(k), models.len());
+            let line = Line::new(t.coef / m + t.slope_floor, t.intercept);
+            models.push((
+                t.driver,
+                Fit {
+                    line,
+                    r2: 0.0,
+                    n: 0,
+                },
+            ));
+        }
+        KwModel::assemble(
+            gpu.name.clone(),
+            Arc::clone(&self.map),
+            BTreeMap::new(),
+            Clustering::from_parts(assignment, models),
+        )
+    }
+
+    /// Predicts a network's end-to-end time on an arbitrary GPU: the
+    /// strict walk of [`IgkwModel::specialise`]'s model for `gpu`.
     ///
     /// # Errors
     ///
@@ -359,20 +382,17 @@ impl IgkwModel {
         batch: usize,
         gpu: &GpuSpec,
     ) -> Result<f64, PredictError> {
-        crate::error::validate_request(net, batch)?;
-        Ok(net
-            .layers()
-            .iter()
-            .map(|l| self.predict_layer(l, batch, gpu))
-            .sum())
+        self.specialise(gpu).predict_network(net, batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernelwise::LayerCoverage;
     use crate::mapping::LayerSignature;
     use dnnperf_data::collect::collect;
+    use dnnperf_dnn::Layer;
     use dnnperf_gpu::Profiler;
     use dnnperf_linreg::mean_abs_rel_error;
 
@@ -455,7 +475,8 @@ mod tests {
     }
 
     /// IGKW pricing written the name-keyed way: the mapped kernel list,
-    /// then each kernel's transfer from the model's `BTreeMap`.
+    /// then each kernel's transfer from the model's `BTreeMap`, summed from
+    /// +0.0 in launch order as KW's loop sums.
     fn name_keyed(model: &IgkwModel, layer: &Layer, batch: usize, gpu: &GpuSpec) -> f64 {
         let Some(kernels) = model.map.kernels_for(layer) else {
             return 0.0;
@@ -470,14 +491,14 @@ mod tests {
         kernels
             .iter()
             .filter_map(|k| model.kernels.get(k))
-            .map(|t| {
-                ((t.coef / m + t.slope_floor) * drivers[t.driver.index()] + t.intercept).max(0.0)
+            .fold(0.0, |s, t| {
+                s + ((t.coef / m + t.slope_floor) * drivers[t.driver.index()] + t.intercept)
+                    .max(0.0)
             })
-            .sum()
     }
 
     #[test]
-    fn resolved_pricing_matches_the_name_keyed_reference() {
+    fn specialised_pricing_matches_the_name_keyed_reference() {
         use dnnperf_testkit::prelude::*;
         let gpus = &train_gpus()[..2];
         let ds = collect(&nets()[..3], gpus, &[32]);
@@ -503,15 +524,16 @@ mod tests {
         );
         let gpus: Vec<GpuSpec> = GpuSpec::all();
         run(
-            "intergpu::resolved_pricing_matches_the_name_keyed_reference",
+            "intergpu::specialised_pricing_matches_the_name_keyed_reference",
             &(vec(0..probes.len(), 1..20), 1usize..600, 0..gpus.len()),
             |(layers, batch, g)| {
                 let gpu = &gpus[g];
                 for model in [&trained, &loaded] {
+                    let kw = model.specialise(gpu);
                     for &i in &layers {
                         let layer = &probes[i];
                         prop_assert_eq!(
-                            model.predict_layer(layer, batch, gpu).to_bits(),
+                            kw.predict_layer(layer, batch).to_bits(),
                             name_keyed(model, layer, batch, gpu).to_bits(),
                             "{layer:?}"
                         );
@@ -519,6 +541,70 @@ mod tests {
                 }
             },
         );
+    }
+
+    #[test]
+    fn specialised_model_names_the_kernels_without_a_transfer_line() {
+        // A kernel that is constant on every training GPU gets no transfer
+        // line, so unprofiled GPUs price it at zero. The specialised
+        // model's coverage account shows the drop; once training gives
+        // such kernels a line, this layer is fully covered.
+        let dropped = "winograd_fwd_sgemm_t4_ai18";
+        let ds = collect(&nets(), &train_gpus(), &[64]);
+        let model = IgkwModel::train(&ds, &train_gpus()).unwrap();
+        assert!(!model.kernels.contains_key(dropped));
+        let titan = GpuSpec::by_name("TITAN RTX").unwrap();
+        let kw = model.specialise(&titan);
+        let launches = |l: &&Layer| {
+            model
+                .map
+                .kernels_for(l)
+                .is_some_and(|ks| ks.iter().any(|k| &**k == dropped))
+        };
+        let net = nets()
+            .into_iter()
+            .find(|n| n.layers().iter().any(|l| launches(&l)));
+        let net = net.expect("a test network launches the dropped kernel");
+        let layer = net.layers().iter().find(launches).unwrap();
+        match kw.predict_layer_coverage(layer, 64) {
+            LayerCoverage::Partial { seconds, missing } => {
+                assert!(missing.iter().any(|k| &**k == dropped), "{missing:?}");
+                // Non-zero, so the reference's +0.0 start cannot differ
+                // from the former loop's `.sum()`.
+                let today = name_keyed(&model, layer, 64, &titan);
+                assert!(today > 0.0);
+                assert_eq!(seconds.to_bits(), today.to_bits());
+                assert_eq!(kw.predict_layer(layer, 64).to_bits(), today.to_bits());
+            }
+            other => panic!("expected a partial coverage, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn specialisation_shares_the_map_and_derives_each_slope_once() {
+        let ds = collect(&nets()[..2], &train_gpus(), &[32]);
+        let model = IgkwModel::train(&ds, &train_gpus()).unwrap();
+        let titan = GpuSpec::by_name("TITAN RTX").unwrap();
+        let kw = model.specialise(&titan);
+        assert!(std::ptr::eq(kw.mapping(), &*model.map));
+        assert_eq!(kw.gpu(), "TITAN RTX");
+        assert!(kw.classifications().is_empty());
+        assert_eq!(kw.num_models(), model.num_kernels());
+        assert_eq!(kw.num_kernels(), model.num_kernels());
+        let m = metric_value(model.metric, &titan);
+        for ((k, t), (slot, (driver, fit))) in model
+            .kernels
+            .iter()
+            .zip(kw.clustering().models().iter().enumerate())
+        {
+            assert_eq!(kw.clustering().cluster_of(k), Some(slot));
+            assert_eq!(*driver, t.driver);
+            assert_eq!(
+                fit.line.slope.to_bits(),
+                (t.coef / m + t.slope_floor).to_bits()
+            );
+            assert_eq!(fit.line.intercept.to_bits(), t.intercept.to_bits());
+        }
     }
 
     #[test]

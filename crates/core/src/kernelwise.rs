@@ -10,10 +10,11 @@
 use crate::classify::{classify_view, Driver, KernelClassification};
 use crate::cluster::{cluster_view, Clustering, DEFAULT_SLOPE_TOLERANCE};
 use crate::error::{PredictError, TrainError};
-use crate::mapping::{drivers, sizes_of, ById, KernelMap, SizeKey};
+use crate::mapping::{drivers, sizes_of, ById, KernelMap, Recorded, SizeKey};
 use crate::model::Predictor;
 use dnnperf_data::{Dataset, DatasetView};
 use dnnperf_dnn::{Layer, Network};
+use dnnperf_linreg::Line;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,30 +60,34 @@ impl LayerCoverage {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KwModel {
     gpu: String,
-    map: KernelMap,
+    /// Shared, not copied, with the IGKW model a model was specialised
+    /// from ([`crate::IgkwModel::specialise`]).
+    map: Arc<KernelMap>,
     classes: BTreeMap<Arc<str>, KernelClassification>,
     clustering: Clustering,
-    /// The cluster slot, an index into [`Clustering::models`], of each
-    /// kernel id of `map`; `None` for a kernel without a cluster.
-    slots: ById<Option<usize>>,
+    /// The cluster regression of each kernel id of `map`, copied out of
+    /// [`Clustering::models`] so a term is one read; `None` for a kernel
+    /// without a cluster.
+    lines: ById<Option<(Driver, Line)>>,
 }
 
 impl KwModel {
-    /// The one constructor: training, loading and the ablated model all
-    /// pass through it, so every model resolves its slot table.
-    fn assemble(
+    /// The one constructor: training, loading, the ablated model and IGKW
+    /// specialisation all pass through it, so every model resolves its
+    /// line table.
+    pub(crate) fn assemble(
         gpu: String,
-        map: KernelMap,
+        map: Arc<KernelMap>,
         classes: BTreeMap<Arc<str>, KernelClassification>,
         clustering: Clustering,
     ) -> Self {
-        let slots = map.resolve(|k| clustering.cluster_of(k));
+        let lines = map.resolve(|k| clustering.model_for(k).map(|(d, f)| (d, f.line)));
         KwModel {
             gpu,
             map,
             classes,
             clustering,
-            slots,
+            lines,
         }
     }
 
@@ -144,7 +149,7 @@ impl KwModel {
                 gpu: gpu.to_string(),
             });
         }
-        let map = KernelMap::from_row_refs(&rows);
+        let map = Arc::new(KernelMap::from_row_refs(&rows));
         // One columnar snapshot feeds both classification and clustering.
         let view = DatasetView::from_refs(&rows);
         let classes = classify_view(&view, threads);
@@ -237,7 +242,7 @@ impl KwModel {
         let mut cur = Cursor::new(text);
         read_header(&mut cur, "kw")?;
         let gpu = cur.keyword("gpu")?.to_string();
-        let map = KernelMap::read_text(&mut cur)?;
+        let map = Arc::new(KernelMap::read_text(&mut cur)?);
 
         let rest = cur.keyword("classes")?;
         let mut parts = rest.split_whitespace();
@@ -331,55 +336,74 @@ impl KwModel {
     /// silently contributes zero; use [`KwModel::predict_layer_coverage`]
     /// when the caller needs to know what was skipped.
     pub fn predict_layer(&self, layer: &Layer, batch: usize) -> f64 {
-        self.predict_layer_coverage(layer, batch).seconds()
+        self.price_layer(layer.type_tag(), sizes_of(layer), batch)
+            .map_or(0.0, |(_, seconds, _)| seconds)
     }
 
     /// Predicts the time of a single layer at `batch` and reports how much
     /// of the layer's kernel work was actually priced.
     pub fn predict_layer_coverage(&self, layer: &Layer, batch: usize) -> LayerCoverage {
-        self.price_layer(layer.type_tag(), sizes_of(layer), batch).0
+        self.layer_coverage(layer.type_tag(), sizes_of(layer), batch)
+            .0
     }
 
-    /// [`KwModel::predict_layer_coverage`] of a layer of type `tag` with
-    /// per-sample `sizes`, plus the number of kernel terms it priced
-    /// (mapped kernels that have a cluster regression). Each term reads
-    /// its cluster by kernel id.
+    /// The one pricing loop. For a layer of type `tag` with per-sample
+    /// `sizes`: the recorded entry it maps to, the sum at `batch` of that
+    /// entry's cluster regressions in launch order (a kernel without a
+    /// cluster contributes nothing), and the number of terms summed.
+    /// `None` when the layer type was never recorded. Each term reads its
+    /// cluster by kernel id, and nothing is allocated: a strict caller
+    /// pays for no coverage account.
     pub(crate) fn price_layer(
         &self,
         tag: &str,
         sizes: SizeKey,
         batch: usize,
+    ) -> Option<(&Recorded, f64, usize)> {
+        let recorded = self.map.lookup(tag, sizes)?;
+        let drivers = drivers(sizes, batch);
+        let mut seconds = 0.0;
+        let mut terms = 0;
+        for &id in recorded.ids() {
+            if let Some((driver, line)) = self.line(id) {
+                seconds += line.eval(drivers[driver.index()]).max(0.0);
+                terms += 1;
+            }
+        }
+        Some((recorded, seconds, terms))
+    }
+
+    /// [`KwModel::predict_layer_coverage`] of a layer of type `tag` with
+    /// per-sample `sizes`, plus the number of kernel terms it priced
+    /// (mapped kernels that have a cluster regression).
+    pub(crate) fn layer_coverage(
+        &self,
+        tag: &str,
+        sizes: SizeKey,
+        batch: usize,
     ) -> (LayerCoverage, usize) {
-        let Some(recorded) = self.map.lookup(tag, sizes) else {
+        let Some((recorded, seconds, terms)) = self.price_layer(tag, sizes, batch) else {
             // Layer type never recorded: either it launches no kernels
             // (flatten) or it is genuinely outside the training set. The
             // caller decides which via [`LayerCoverage::Unmapped`].
             return (LayerCoverage::Unmapped, 0);
         };
-        let drivers = drivers(sizes, batch);
-        let models = self.clustering.models();
-        let mut seconds = 0.0;
-        let mut missing = Vec::new();
-        for (&id, k) in recorded.ids().iter().zip(recorded.kernels()) {
-            match self
-                .slots
-                .get(id)
-                .copied()
-                .flatten()
-                .and_then(|s| models.get(s))
-            {
-                Some((driver, fit)) => {
-                    seconds += fit.predict(drivers[driver.index()]).max(0.0);
-                }
-                None => missing.push(k.clone()),
-            }
+        if terms == recorded.ids().len() {
+            return (LayerCoverage::Full(seconds), terms);
         }
-        let terms = recorded.ids().len() - missing.len();
-        if missing.is_empty() {
-            (LayerCoverage::Full(seconds), terms)
-        } else {
-            (LayerCoverage::Partial { seconds, missing }, terms)
-        }
+        let missing = recorded
+            .ids()
+            .iter()
+            .zip(recorded.kernels())
+            .filter(|&(&id, _)| self.line(id).is_none())
+            .map(|(_, k)| k.clone())
+            .collect();
+        (LayerCoverage::Partial { seconds, missing }, terms)
+    }
+
+    /// The cluster regression of kernel id `id`, if it has one.
+    fn line(&self, id: usize) -> Option<(Driver, Line)> {
+        *self.lines.get(id)?
     }
 }
 
@@ -424,7 +448,7 @@ impl KwFlopsOnlyModel {
                 gpu: gpu.to_string(),
             });
         }
-        let map = KernelMap::from_row_refs(&rows);
+        let map = Arc::new(KernelMap::from_row_refs(&rows));
         let view = DatasetView::from_refs(&rows);
         // Force classification to Operation for every kernel.
         let mut classes = classify_view(&view, 1);

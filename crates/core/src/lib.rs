@@ -13,7 +13,8 @@
 //! * [`IgkwModel`] — the Inter-GPU extension: per-kernel slopes are
 //!   themselves regressed against the reciprocal of GPU memory bandwidth
 //!   (O6), so the model can predict GPUs absent from the training set,
-//!   including hypothetical ones.
+//!   including hypothetical ones. It prices a GPU by
+//!   [specialising](IgkwModel::specialise) into a [`KwModel`] for it.
 //!
 //! All models implement [`Predictor`] and are trained purely from a
 //! [`dnnperf_data::Dataset`] — never from the simulator's hidden parameters.

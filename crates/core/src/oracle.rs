@@ -13,14 +13,23 @@
 //!   [`Workflow::predict_graceful`], [`Degradation`] notes included, so
 //!   the simulator can annotate results whose service times leaned on a
 //!   coarser model;
-//! * GPUs never profiled fall back to the Inter-GPU Kernel-Wise model
-//!   ([`IgkwModel::predict_network_on`]), flagged as
-//!   [`OracleSource::Igkw`].
+//! * GPUs never profiled fall back to the Inter-GPU Kernel-Wise model,
+//!   flagged as [`OracleSource::Igkw`]: the strict walk of the
+//!   [`KwModel`] that [`IgkwModel::specialise`] builds for the GPU,
+//!   bit-identical to [`IgkwModel::predict_network_on`].
 //!
 //! Plan lookups go through each suite's own [`Workflow::plan`] cache —
 //! the same budgeted, generation-keyed [`SharedPlanCache`](crate::SharedPlanCache)
 //! type the prediction server shares — so a warm request costs one
 //! lookup and a request is priced at most once per residency.
+//!
+//! IGKW answers are not cached, but the specialisation is: the oracle
+//! builds one specialised model per unprofiled GPU on first use (tens of
+//! microseconds, several times the cost of pricing a network) and keeps
+//! it until [`PredictionOracle::set_igkw`] installs another IGKW model.
+//! The memo is keyed by the spec's name and the bits of its
+//! transfer-metric value, so two specs that share a name but differ in
+//! bandwidth never share a model.
 //!
 //! The oracle consumes only public model surfaces — compiled plans and
 //! IGKW fits — never `dnnperf_gpu::timing`; the oracle-isolation lint
@@ -30,12 +39,14 @@
 use crate::degrade::{Degradation, GracefulPrediction};
 use crate::error::PredictError;
 use crate::intergpu::IgkwModel;
+use crate::kernelwise::KwModel;
 use crate::model::Predictor;
 use crate::workflow::Workflow;
 use dnnperf_dnn::Network;
 use dnnperf_gpu::GpuSpec;
+use dnnperf_sched::sync::lock_unpoisoned;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which model family priced an oracle request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +65,7 @@ pub struct OraclePrediction {
     /// Predicted service time in seconds.
     pub seconds: f64,
     /// Degradation-ladder notes (empty for full KW coverage and for the
-    /// IGKW path, which has no per-layer coverage account).
+    /// IGKW path, which is priced strictly, without the ladder).
     pub notes: Vec<Degradation>,
     /// The model family that produced the number.
     pub source: OracleSource,
@@ -74,6 +85,10 @@ impl OraclePrediction {
 pub struct PredictionOracle {
     suites: BTreeMap<String, Arc<Workflow>>,
     igkw: Option<IgkwModel>,
+    /// `igkw` specialised to each unprofiled GPU priced so far, keyed by
+    /// the spec's name, then by the bits of its transfer-metric value (so
+    /// a hit allocates no key).
+    specialised: Mutex<BTreeMap<String, BTreeMap<u64, Arc<KwModel>>>>,
 }
 
 impl PredictionOracle {
@@ -89,9 +104,11 @@ impl PredictionOracle {
     }
 
     /// Installs the Inter-GPU Kernel-Wise fallback for GPUs without a
-    /// trained suite.
+    /// trained suite, dropping every model specialised from the previous
+    /// one.
     pub fn set_igkw(&mut self, igkw: IgkwModel) {
         self.igkw = Some(igkw);
+        lock_unpoisoned(&self.specialised).clear();
     }
 
     /// The trained suite registered for `gpu`, if any.
@@ -135,7 +152,7 @@ impl PredictionOracle {
             });
         }
         if let Some(igkw) = &self.igkw {
-            let seconds = igkw.predict_network_on(net, batch, gpu)?;
+            let seconds = self.specialised(igkw, gpu).predict_network(net, batch)?;
             return Ok(OraclePrediction {
                 seconds,
                 notes: Vec::new(),
@@ -145,6 +162,19 @@ impl PredictionOracle {
         Err(PredictError::NoModelForGpu {
             gpu: gpu.name.clone(),
         })
+    }
+
+    /// `igkw` specialised to `gpu`, built on the first request for the
+    /// spec. The model is taken out of the lock before it prices anything.
+    fn specialised(&self, igkw: &IgkwModel, gpu: &GpuSpec) -> Arc<KwModel> {
+        let bits = igkw.metric_on(gpu).to_bits();
+        let mut memo = lock_unpoisoned(&self.specialised);
+        if let Some(model) = memo.get(&gpu.name).and_then(|m| m.get(&bits)) {
+            return Arc::clone(model);
+        }
+        let model = Arc::new(igkw.specialise(gpu));
+        let by_metric = memo.entry(gpu.name.clone()).or_default();
+        Arc::clone(by_metric.entry(bits).or_insert(model))
     }
 }
 
@@ -229,6 +259,82 @@ mod tests {
         assert_eq!(got.source, OracleSource::Igkw);
         assert!(got.is_degraded());
         assert!(got.notes.is_empty());
+    }
+
+    fn igkw(nets: &[Network], gpus: &[&str]) -> IgkwModel {
+        let specs: Vec<GpuSpec> = gpus.iter().map(|g| GpuSpec::by_name(g).unwrap()).collect();
+        IgkwModel::train(&collect(nets, &specs, &[32]), &specs).unwrap()
+    }
+
+    /// The oracle's specialised models, in key order.
+    fn memo(oracle: &PredictionOracle) -> Vec<Arc<KwModel>> {
+        lock_unpoisoned(&oracle.specialised)
+            .values()
+            .flat_map(|m| m.values().cloned())
+            .collect()
+    }
+
+    #[test]
+    fn unprofiled_gpu_requests_reuse_one_specialised_model() {
+        let nets = vgg_only();
+        let igkw = igkw(&nets, &["A100", "A40"]);
+        let mut oracle = PredictionOracle::new();
+        oracle.set_igkw(igkw.clone());
+        let titan = GpuSpec::by_name("TITAN RTX").unwrap();
+        let mut first: Option<Arc<KwModel>> = None;
+        for net in &nets {
+            for batch in [1, 32, 256] {
+                let got = oracle.predict(&titan, net, batch).unwrap();
+                let want = igkw.predict_network_on(net, batch, &titan).unwrap();
+                assert_eq!(got.seconds.to_bits(), want.to_bits());
+                let [model] = &memo(&oracle)[..] else {
+                    panic!("expected one specialised model");
+                };
+                let first = first.get_or_insert_with(|| Arc::clone(model));
+                assert!(Arc::ptr_eq(first, model));
+            }
+        }
+    }
+
+    #[test]
+    fn specs_sharing_a_name_but_not_a_bandwidth_get_their_own_models() {
+        let nets = vgg_only();
+        let igkw = igkw(&nets, &["A100", "A40"]);
+        let mut oracle = PredictionOracle::new();
+        oracle.set_igkw(igkw.clone());
+        let slow = GpuSpec::by_name("TITAN RTX").unwrap();
+        let mut fast = slow.with_bandwidth(2.0 * slow.bandwidth_gbps);
+        fast.name = slow.name.clone();
+        let mut answers = Vec::new();
+        for gpu in [&slow, &fast, &slow, &fast] {
+            let got = oracle.predict(gpu, &nets[0], 32).unwrap();
+            let want = igkw.predict_network_on(&nets[0], 32, gpu).unwrap();
+            assert_eq!(got.seconds.to_bits(), want.to_bits());
+            answers.push(got.seconds);
+        }
+        assert!(answers[1] < answers[0], "{answers:?}");
+        assert_eq!(memo(&oracle).len(), 2);
+    }
+
+    #[test]
+    fn set_igkw_drops_the_old_specialised_models() {
+        let nets = vgg_only();
+        let (old, new) = (igkw(&nets, &["A100", "A40"]), igkw(&nets, &["V100"]));
+        let mut oracle = PredictionOracle::new();
+        oracle.set_igkw(old.clone());
+        let titan = GpuSpec::by_name("TITAN RTX").unwrap();
+        let before = oracle.predict(&titan, &nets[0], 32).unwrap();
+        let old_model = memo(&oracle).pop().unwrap();
+        oracle.set_igkw(new.clone());
+        assert!(memo(&oracle).is_empty());
+        let after = oracle.predict(&titan, &nets[0], 32).unwrap();
+        let want = new.predict_network_on(&nets[0], 32, &titan).unwrap();
+        assert_eq!(after.seconds.to_bits(), want.to_bits());
+        assert_ne!(after.seconds.to_bits(), before.seconds.to_bits());
+        let [new_model] = &memo(&oracle)[..] else {
+            panic!("expected one specialised model");
+        };
+        assert!(!Arc::ptr_eq(&old_model, new_model));
     }
 
     #[test]

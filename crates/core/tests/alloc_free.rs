@@ -1,6 +1,6 @@
-//! `KernelMap::kernels_for`, `KwModel::predict_layer` and
-//! `IgkwModel::predict_layer` allocate nothing, on an exact hit or on a
-//! nearest-signature miss. A counting global allocator tallies the heap
+//! `KernelMap::kernels_for` and `KwModel::predict_layer` allocate nothing,
+//! on an exact hit or on a nearest-signature miss, for a trained KW model
+//! and for an IGKW model specialised to an unprofiled GPU. A counting global allocator tallies the heap
 //! allocations of the current thread, so tests running in parallel do not
 //! see each other's.
 
@@ -116,31 +116,24 @@ fn nearest_fallback_allocates_nothing() {
 fn kw_pricing_allocates_nothing_on_a_covered_hit_or_miss() {
     let gpu = GpuSpec::by_name("A100").unwrap();
     let ds = collect(&[zoo::resnet::resnet18()], &[gpu], &[16]);
-    let kw = KwModel::train(&ds, "A100").unwrap();
-    for (layer, hit) in [(resnet18_conv(), true), (odd_conv(), false)] {
-        assert_eq!(recorded(kw.mapping(), &layer), hit);
-        assert!(kw.predict_layer_coverage(&layer, 8).is_full());
-        let (seconds, n) = allocations(|| kw.predict_layer(&layer, 8));
-        assert!(seconds > 0.0);
-        assert_eq!(n, 0, "KW pricing (hit: {hit}) allocated {n} times");
-    }
-}
-
-#[test]
-fn igkw_pricing_allocates_nothing_on_a_hit_or_miss() {
+    let trained = KwModel::train(&ds, "A100").unwrap();
+    // IGKW prices through the same loop, as a KW model specialised to the
+    // target GPU.
     let gpus = [
         GpuSpec::by_name("A100").unwrap(),
         GpuSpec::by_name("V100").unwrap(),
     ];
     let ds = collect(&[zoo::resnet::resnet18()], &gpus, &[8, 32]);
     let igkw = IgkwModel::train(&ds, &gpus).unwrap();
-    let target = GpuSpec::by_name("TITAN RTX").unwrap();
-    let map = resnet18_map();
-    for (layer, hit) in [(resnet18_conv(), true), (odd_conv(), false)] {
-        assert_eq!(recorded(&map, &layer), hit);
-        let (seconds, n) = allocations(|| igkw.predict_layer(&layer, 8, &target));
-        assert!(seconds > 0.0);
-        assert_eq!(n, 0, "IGKW pricing (hit: {hit}) allocated {n} times");
+    let specialised = igkw.specialise(&GpuSpec::by_name("TITAN RTX").unwrap());
+    for (kw, what) in [(&trained, "trained"), (&specialised, "specialised")] {
+        for (layer, hit) in [(resnet18_conv(), true), (odd_conv(), false)] {
+            assert_eq!(recorded(kw.mapping(), &layer), hit);
+            assert!(kw.predict_layer_coverage(&layer, 8).is_full());
+            let (seconds, n) = allocations(|| kw.predict_layer(&layer, 8));
+            assert!(seconds > 0.0);
+            assert_eq!(n, 0, "{what} KW pricing (hit: {hit}) allocated {n} times");
+        }
     }
 }
 
